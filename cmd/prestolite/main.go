@@ -4,7 +4,7 @@
 //
 //	prestolite -catalog catalog.json -ocs <frontend-addr> [-objstore <addr>]
 //	           [-pushdown always|never|filter|...|auto] [-explain] [-profile]
-//	           [-meta-cache-tables 1024] [-metrics-listen :9280]
+//	           [-metrics-listen :9280]
 //	           [-max-queries N] [-queue N] [-memory-budget BYTES]
 //	           [-ingest [-ingest-flush-rows N] [-compact-interval 30s]]
 //	           "SELECT ..."
@@ -42,7 +42,6 @@ import (
 	"strings"
 	"time"
 
-	"prestocs/internal/cache"
 	"prestocs/internal/connector/hive"
 	ocsconn "prestocs/internal/connector/ocs"
 	"prestocs/internal/engine"
@@ -60,7 +59,6 @@ func main() {
 	pushdown := flag.String("pushdown", "all", "ocs pushdown mode: always/all, never/none, filter, ..., or auto (per-split adaptive: selectivity history + storage-load feedback decide pushdown vs raw per split)")
 	explain := flag.Bool("explain", false, "print the optimized plan before results")
 	profile := flag.Bool("profile", false, "print a per-query trace profile after each statement")
-	metaCacheTables := flag.Int("meta-cache-tables", cache.DefaultTableCacheEntries, "table-metadata cache entries per catalog (0 disables)")
 	metricsListen := flag.String("metrics-listen", "", "serve /metrics, /debug/traces and /debug/queries on this address")
 	ingestMode := flag.Bool("ingest", false, "enable the write path: INSERT statements buffer rows into parquetlite objects on the ocs catalog")
 	flushRows := flag.Int("ingest-flush-rows", 0, "ingest: rows buffered per table before an object is sealed (0 = default)")
@@ -105,11 +103,9 @@ func main() {
 	ocsCli := ocsserver.NewClient(*ocsAddr, ocsOpts...)
 	defer ocsCli.Close()
 	conn := ocsconn.New("ocs", ms, ocsCli)
-	conn.SetTableCacheEntries(*metaCacheTables)
 	eng.AddConnector(conn)
 	eng.AddEventListener(conn.Monitor())
 	if *profile || *metricsListen != "" {
-		conn.Monitor().SetMetrics(eng.Metrics)
 		conn.SetMetrics(eng.Metrics)
 	}
 	if *ingestMode {
@@ -141,10 +137,6 @@ func main() {
 		objCli := objstore.NewClient(*objAddr)
 		defer objCli.Close()
 		hiveConn := hive.New("hive", ms, objCli)
-		hiveConn.SetTableCacheEntries(*metaCacheTables)
-		if *profile || *metricsListen != "" {
-			hiveConn.SetMetrics(eng.Metrics)
-		}
 		eng.AddConnector(hiveConn)
 	}
 	if *metricsListen != "" {

@@ -262,7 +262,6 @@ func (a *analysis) buildJoin(probe, build *plan.TableScan) (plan.Node, error) {
 		Build:     buildSide,
 		ProbeKeys: probeKeys,
 		BuildKeys: buildKeys,
-		Strategy:  plan.JoinAuto,
 	}
 	if p := expr.AndAll(crossConj); p != nil {
 		root = &plan.Filter{Input: root, Condition: p}

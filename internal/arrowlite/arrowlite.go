@@ -1,37 +1,36 @@
-// Package arrowlite implements an Apache Arrow-like columnar IPC stream:
-// a schema message followed by record batches, each encoded as validity
+// Package arrowlite implements Apache Arrow-like columnar IPC messages: a
+// schema message followed by record batches, each encoded as validity
 // bitmaps plus typed little-endian value buffers (offsets + data for
 // strings). OCS returns query results in this format and the Presto-OCS
 // connector's PageSourceProvider deserializes it back into engine pages,
-// mirroring the paper's Arrow result path.
+// mirroring the paper's Arrow result path. The RPC stream frames the
+// messages: its first chunk carries the schema message (AppendSchema /
+// DecodeSchemaMsg) and every later chunk one batch message (AppendBatch /
+// DecodeBatchMsg).
 //
-// Stream layout:
+// Message layout:
 //
-//	magic "ARL1"
-//	u32 schemaLen | schema message
-//	repeated: u32 batchLen | batch message   (batchLen > 0)
-//	u32 0  — end-of-stream marker
+//	schema: u32 ncols | repeated: u8 kind | u32 nameLen | name
+//	batch:  u32 nrows | per column: u32 bitmapLen | validity bitmap | values
 //
-// All integers are little-endian. Validity bitmaps are LSB-first packed
-// bits, 1 = valid (Arrow convention).
+// Values are nrows x u64 for Int64, Float64 and Date, a packed bitmap for
+// Bool, and (nrows+1) x u32 offsets then the concatenated bytes for
+// String. All integers are little-endian. Bitmaps are LSB-first packed
+// bits; in a validity bitmap 1 = valid (Arrow convention).
 package arrowlite
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"prestocs/internal/column"
 	"prestocs/internal/types"
 )
 
-// Magic identifies an arrowlite stream.
-var Magic = []byte("ARL1")
-
-// ErrCorrupt reports a malformed stream.
-var ErrCorrupt = errors.New("arrowlite: corrupt stream")
+// ErrCorrupt reports a malformed message.
+var ErrCorrupt = errors.New("arrowlite: corrupt message")
 
 // kindCode maps types.Kind to a stable on-wire code.
 func kindCode(k types.Kind) (uint8, error) {
@@ -68,86 +67,6 @@ func codeKind(c uint8) (types.Kind, error) {
 	}
 }
 
-// Writer emits an arrowlite stream.
-type Writer struct {
-	w       io.Writer
-	schema  *types.Schema
-	closed  bool
-	n       int64  // bytes written
-	scratch []byte // reused batch-encode buffer
-}
-
-// NewWriter writes the magic and schema message and returns a batch writer.
-func NewWriter(w io.Writer, schema *types.Schema) (*Writer, error) {
-	aw := &Writer{w: w, schema: schema}
-	if err := aw.writeRaw(Magic); err != nil {
-		return nil, err
-	}
-	msg, err := encodeSchema(schema)
-	if err != nil {
-		return nil, err
-	}
-	if err := aw.writeBlock(msg); err != nil {
-		return nil, err
-	}
-	return aw, nil
-}
-
-// BytesWritten returns the total bytes emitted so far.
-func (w *Writer) BytesWritten() int64 { return w.n }
-
-func (w *Writer) writeRaw(b []byte) error {
-	n, err := w.w.Write(b)
-	w.n += int64(n)
-	return err
-}
-
-func (w *Writer) writeBlock(b []byte) error {
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(b)))
-	if err := w.writeRaw(lenBuf[:]); err != nil {
-		return err
-	}
-	return w.writeRaw(b)
-}
-
-// WriteBatch appends one record batch. The page's schema must match the
-// writer's schema kinds.
-func (w *Writer) WriteBatch(page *column.Page) error {
-	if w.closed {
-		return errors.New("arrowlite: write after Close")
-	}
-	if page.NumCols() != w.schema.Len() {
-		return fmt.Errorf("arrowlite: batch has %d cols, schema has %d", page.NumCols(), w.schema.Len())
-	}
-	msg, err := AppendBatch(w.scratch[:0], page)
-	if err != nil {
-		return err
-	}
-	w.scratch = msg
-	if len(msg) == 0 {
-		// A zero block length is the end marker; pad empty batches so
-		// they stay distinguishable. AppendBatch always emits the row
-		// count, so this cannot happen, but guard anyway.
-		return errors.New("arrowlite: empty batch message")
-	}
-	return w.writeBlock(msg)
-}
-
-// Close writes the end-of-stream marker.
-func (w *Writer) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	var z [4]byte
-	return w.writeRaw(z[:])
-}
-
-func encodeSchema(s *types.Schema) ([]byte, error) {
-	return AppendSchema(nil, s)
-}
-
 // AppendSchema appends an encoded schema message to dst and returns the
 // extended slice. It is the allocation-free form of the schema encoder,
 // usable with GetBuf for streaming one message per RPC chunk.
@@ -168,15 +87,16 @@ func AppendSchema(dst []byte, s *types.Schema) ([]byte, error) {
 // DecodeSchemaMsg decodes one schema message (the payload of the first
 // stream chunk in the OCS result protocol).
 func DecodeSchemaMsg(b []byte) (*types.Schema, error) {
-	return decodeSchema(b)
-}
-
-func decodeSchema(b []byte) (*types.Schema, error) {
 	if len(b) < 4 {
 		return nil, ErrCorrupt
 	}
 	n := binary.LittleEndian.Uint32(b)
 	b = b[4:]
+	// Every column takes at least 5 bytes; bound the count by the bytes
+	// left before sizing anything from it.
+	if uint64(n)*5 > uint64(len(b)) {
+		return nil, ErrCorrupt
+	}
 	cols := make([]types.Column, 0, n)
 	for i := uint32(0); i < n; i++ {
 		if len(b) < 5 {
@@ -263,10 +183,6 @@ func AppendBatch(dst []byte, page *column.Page) ([]byte, error) {
 // It is safe to call on a pooled or otherwise reused buffer: every value
 // (including strings) is copied out of b.
 func DecodeBatchMsg(b []byte, schema *types.Schema) (*column.Page, error) {
-	return decodeBatch(b, schema)
-}
-
-func decodeBatch(b []byte, schema *types.Schema) (*column.Page, error) {
 	if len(b) < 4 {
 		return nil, ErrCorrupt
 	}
@@ -357,141 +273,4 @@ func appendMaybeNull(vec *column.Vector, valid bool, v types.Value) {
 		return
 	}
 	vec.Append(v)
-}
-
-// Reader consumes an arrowlite stream.
-type Reader struct {
-	r      io.Reader
-	schema *types.Schema
-	done   bool
-	n      int64
-}
-
-// NewReader validates the magic and reads the schema message.
-func NewReader(r io.Reader) (*Reader, error) {
-	ar := &Reader{r: r}
-	magic := make([]byte, len(Magic))
-	if err := ar.readFull(magic); err != nil {
-		return nil, fmt.Errorf("arrowlite: reading magic: %w", err)
-	}
-	if string(magic) != string(Magic) {
-		return nil, ErrCorrupt
-	}
-	block, err := ar.readBlock()
-	if err != nil {
-		return nil, err
-	}
-	if block == nil {
-		return nil, ErrCorrupt // end marker in place of schema
-	}
-	schema, err := decodeSchema(block)
-	if err != nil {
-		return nil, err
-	}
-	ar.schema = schema
-	return ar, nil
-}
-
-// Schema returns the stream schema.
-func (r *Reader) Schema() *types.Schema { return r.schema }
-
-// BytesRead returns the total bytes consumed so far.
-func (r *Reader) BytesRead() int64 { return r.n }
-
-func (r *Reader) readFull(b []byte) error {
-	n, err := io.ReadFull(r.r, b)
-	r.n += int64(n)
-	return err
-}
-
-// readBlock returns nil, nil at the end-of-stream marker.
-func (r *Reader) readBlock() ([]byte, error) {
-	var lenBuf [4]byte
-	if err := r.readFull(lenBuf[:]); err != nil {
-		return nil, fmt.Errorf("arrowlite: reading block length: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n == 0 {
-		return nil, nil
-	}
-	block := make([]byte, n)
-	if err := r.readFull(block); err != nil {
-		return nil, fmt.Errorf("arrowlite: reading block body: %w", err)
-	}
-	return block, nil
-}
-
-// Next returns the next record batch, or io.EOF after the end marker.
-func (r *Reader) Next() (*column.Page, error) {
-	if r.done {
-		return nil, io.EOF
-	}
-	block, err := r.readBlock()
-	if err != nil {
-		return nil, err
-	}
-	if block == nil {
-		r.done = true
-		return nil, io.EOF
-	}
-	return decodeBatch(block, r.schema)
-}
-
-// Serialize encodes pages into a single in-memory stream.
-func Serialize(schema *types.Schema, pages []*column.Page) ([]byte, error) {
-	var buf sliceWriter
-	w, err := NewWriter(&buf, schema)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range pages {
-		if err := w.WriteBatch(p); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// Deserialize decodes a full stream into its schema and pages.
-func Deserialize(data []byte) (*types.Schema, []*column.Page, error) {
-	r, err := NewReader(&byteReader{data: data})
-	if err != nil {
-		return nil, nil, err
-	}
-	var pages []*column.Page
-	for {
-		p, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		pages = append(pages, p)
-	}
-	return r.Schema(), pages, nil
-}
-
-type sliceWriter []byte
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	*w = append(*w, p...)
-	return len(p), nil
-}
-
-type byteReader struct {
-	data []byte
-	pos  int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.pos:])
-	r.pos += n
-	return n, nil
 }

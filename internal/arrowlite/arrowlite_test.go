@@ -1,8 +1,6 @@
 package arrowlite
 
 import (
-	"bytes"
-	"io"
 	"testing"
 	"testing/quick"
 
@@ -44,16 +42,46 @@ func pagesEqual(t *testing.T, a, b *column.Page) {
 	}
 }
 
+// encode renders a schema message and one batch message per page, the
+// chunks the OCS result stream carries.
+func encode(t testing.TB, schema *types.Schema, pages ...*column.Page) (schemaMsg []byte, batchMsgs [][]byte) {
+	t.Helper()
+	schemaMsg, err := AppendSchema(nil, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pages {
+		msg, err := AppendBatch(nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batchMsgs = append(batchMsgs, msg)
+	}
+	return schemaMsg, batchMsgs
+}
+
+// roundTrip encodes the schema and pages and decodes them back.
+func roundTrip(t testing.TB, schema *types.Schema, pages ...*column.Page) (*types.Schema, []*column.Page) {
+	t.Helper()
+	schemaMsg, batchMsgs := encode(t, schema, pages...)
+	got, err := DecodeSchemaMsg(schemaMsg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*column.Page
+	for _, msg := range batchMsgs {
+		p, err := DecodeBatchMsg(msg, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, p)
+	}
+	return got, out
+}
+
 func TestRoundTripSingleBatch(t *testing.T) {
 	p := samplePage()
-	data, err := Serialize(p.Schema, []*column.Page{p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	schema, pages, err := Deserialize(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	schema, pages := roundTrip(t, p.Schema, p)
 	if !schema.Equal(p.Schema) {
 		t.Fatalf("schema mismatch: %v vs %v", schema, p.Schema)
 	}
@@ -65,14 +93,7 @@ func TestRoundTripSingleBatch(t *testing.T) {
 
 func TestRoundTripMultipleBatches(t *testing.T) {
 	p := samplePage()
-	data, err := Serialize(p.Schema, []*column.Page{p, p, p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, pages, err := Deserialize(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pages := roundTrip(t, p.Schema, p, p, p)
 	if len(pages) != 3 {
 		t.Fatalf("got %d pages", len(pages))
 	}
@@ -83,109 +104,112 @@ func TestRoundTripMultipleBatches(t *testing.T) {
 
 func TestEmptyBatchAndEmptyStream(t *testing.T) {
 	s := allKindsSchema()
-	empty := column.NewPage(s)
-	data, err := Serialize(s, []*column.Page{empty})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, pages, err := Deserialize(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pages) != 1 || pages[0].NumRows() != 0 {
+	_, pages := roundTrip(t, s, column.NewPage(s))
+	if len(pages) != 1 || pages[0].NumRows() != 0 || pages[0].NumCols() != s.Len() {
 		t.Errorf("empty batch round trip wrong: %v", pages)
 	}
-	// Stream with no batches at all.
-	data, err = Serialize(s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schema, pages, err := Deserialize(data)
-	if err != nil || len(pages) != 0 || !schema.Equal(s) {
-		t.Errorf("no-batch stream wrong: %v %v", pages, err)
+	// A result with no batches at all: the schema message alone.
+	schema, pages := roundTrip(t, s)
+	if len(pages) != 0 || !schema.Equal(s) {
+		t.Errorf("no-batch result wrong: %v %v", schema, pages)
 	}
 }
 
-func TestStreamingReaderWriter(t *testing.T) {
+// TestStreamingReusedBuffer encodes every message into one pooled buffer,
+// as a storage node does per stream chunk, and checks that pages decoded
+// from earlier contents survive the buffer being overwritten.
+func TestStreamingReusedBuffer(t *testing.T) {
 	p := samplePage()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, p.Schema)
+	buf := GetBuf()
+	defer PutBuf(buf)
+	msg, err := AppendSchema((*buf)[:0], p.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBatch(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if w.BytesWritten() != int64(buf.Len()) {
-		t.Errorf("BytesWritten = %d, buffer = %d", w.BytesWritten(), buf.Len())
-	}
-	// Double close is a no-op.
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteBatch(p); err == nil {
-		t.Error("write after close must fail")
-	}
-
-	r, err := NewReader(&buf)
+	schema, err := DecodeSchemaMsg(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
+	var pages []*column.Page
+	for i := 0; i < 3; i++ {
+		msg, err := AppendBatch((*buf)[:0], p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*buf = msg
+		got, err := DecodeBatchMsg(msg, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, got)
+		for j := range msg {
+			msg[j] = 0xAA
+		}
 	}
-	pagesEqual(t, p, got)
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("expected EOF, got %v", err)
+	if !schema.Equal(p.Schema) {
+		t.Fatalf("schema mismatch: %v vs %v", schema, p.Schema)
 	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Error("Next after EOF must keep returning EOF")
+	for _, got := range pages {
+		pagesEqual(t, p, got)
 	}
 }
 
 func TestSchemaArityMismatch(t *testing.T) {
 	p := samplePage()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, types.NewSchema(types.Column{Name: "only", Type: types.Int64}))
-	if err != nil {
-		t.Fatal(err)
+	narrow := types.NewSchema(types.Column{Name: "only", Type: types.Int64})
+	_, msgs := encode(t, p.Schema, p)
+	if _, err := DecodeBatchMsg(msgs[0], narrow); err == nil {
+		t.Error("five-column batch decoded against a one-column schema")
 	}
-	if err := w.WriteBatch(p); err == nil {
-		t.Error("arity mismatch must fail")
+	one := column.NewPage(narrow)
+	one.AppendRow(types.IntValue(7))
+	_, msgs = encode(t, narrow, one)
+	if _, err := DecodeBatchMsg(msgs[0], p.Schema); err == nil {
+		t.Error("one-column batch decoded against a five-column schema")
 	}
 }
 
+// TestCorruptStreams cuts the schema message and the batch message at
+// every byte: each truncation must return an error, never panic or
+// succeed. Hostile inputs that claim huge counts must error without
+// sizing anything from the claim.
 func TestCorruptStreams(t *testing.T) {
 	p := samplePage()
-	data, _ := Serialize(p.Schema, []*column.Page{p})
-
-	if _, _, err := Deserialize([]byte("XXXX")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, _, err := Deserialize(data[:3]); err == nil {
-		t.Error("truncated magic accepted")
-	}
-	// Truncations at every boundary must error, not panic.
-	for cut := 4; cut < len(data)-1; cut += 7 {
-		if _, _, err := Deserialize(data[:cut]); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
+	schemaMsg, msgs := encode(t, p.Schema, p)
+	batchMsg := msgs[0]
+	for cut := 0; cut < len(schemaMsg); cut++ {
+		if _, err := DecodeSchemaMsg(schemaMsg[:cut]); err == nil {
+			t.Errorf("schema message cut at %d/%d accepted", cut, len(schemaMsg))
 		}
 	}
-	// Flip a byte inside the schema block.
-	bad := append([]byte(nil), data...)
-	bad[8] = 0xFF
-	if _, _, err := Deserialize(bad); err == nil {
-		t.Error("corrupt schema accepted")
+	for cut := 0; cut < len(batchMsg); cut++ {
+		if _, err := DecodeBatchMsg(batchMsg[:cut], p.Schema); err == nil {
+			t.Errorf("batch message cut at %d/%d accepted", cut, len(batchMsg))
+		}
+	}
+	// Trailing bytes are corruption too.
+	if _, err := DecodeSchemaMsg(append(append([]byte(nil), schemaMsg...), 0)); err == nil {
+		t.Error("schema message with a trailing byte accepted")
+	}
+	if _, err := DecodeBatchMsg(append(append([]byte(nil), batchMsg...), 0), p.Schema); err == nil {
+		t.Error("batch message with a trailing byte accepted")
+	}
+	// An unknown kind code in the first column.
+	bad := append([]byte(nil), schemaMsg...)
+	bad[4] = 0xFF
+	if _, err := DecodeSchemaMsg(bad); err == nil {
+		t.Error("unknown kind code accepted")
+	}
+	// A 15-byte schema message whose column count ("ARL1" read as a u32)
+	// claims ~827M columns.
+	if _, err := DecodeSchemaMsg([]byte("ARL1\x01\x00\xea\xff`\x03\x01\x00\x00\x00\xff")); err == nil {
+		t.Error("15-byte hostile schema message accepted")
 	}
 }
 
 func TestUnsupportedKind(t *testing.T) {
 	s := types.NewSchema(types.Column{Name: "u", Type: types.Unknown})
-	if _, err := Serialize(s, nil); err == nil {
+	if _, err := AppendSchema(nil, s); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }
@@ -216,16 +240,16 @@ func TestQuickRoundTrip(t *testing.T) {
 			}
 			p.AppendRow(iv, fv, sv)
 		}
-		data, err := Serialize(schema, []*column.Page{p})
+		msg, err := AppendBatch(nil, p)
 		if err != nil {
 			return false
 		}
-		_, pages, err := Deserialize(data)
-		if err != nil || len(pages) != 1 || pages[0].NumRows() != n {
+		got, err := DecodeBatchMsg(msg, schema)
+		if err != nil || got.NumRows() != n {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			ra, rb := p.Row(i), pages[0].Row(i)
+			ra, rb := p.Row(i), got.Row(i)
 			for c := range ra {
 				// NaN compares equal under types.Compare's total order.
 				if !types.Equal(ra[c], rb[c]) {

@@ -24,25 +24,26 @@ func benchBatch(rows int) (*types.Schema, *column.Page) {
 	return schema, p
 }
 
-func BenchmarkSerialize(b *testing.B) {
-	schema, page := benchBatch(10000)
+func BenchmarkEncode(b *testing.B) {
+	_, page := benchBatch(10000)
+	var msg []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := Serialize(schema, []*column.Page{page})
-		if err != nil {
+		var err error
+		if msg, err = AppendBatch(msg[:0], page); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(int64(len(data)))
+		b.SetBytes(int64(len(msg)))
 	}
 }
 
-func BenchmarkDeserialize(b *testing.B) {
+func BenchmarkDecode(b *testing.B) {
 	schema, page := benchBatch(10000)
-	data, _ := Serialize(schema, []*column.Page{page})
-	b.SetBytes(int64(len(data)))
+	msg, _ := AppendBatch(nil, page)
+	b.SetBytes(int64(len(msg)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Deserialize(data); err != nil {
+		if _, err := DecodeBatchMsg(msg, schema); err != nil {
 			b.Fatal(err)
 		}
 	}

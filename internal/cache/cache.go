@@ -1,11 +1,7 @@
-// Package cache implements the three-level caching tier (DESIGN.md §6)
-// that sits between repeated queries and the metadata/decode work they
-// would otherwise redo from scratch:
+// Package cache implements the storage-node caching tier (DESIGN.md §6)
+// that sits between repeated queries and the decode work they would
+// otherwise redo from scratch:
 //
-//   - TableCache: engine-side table metadata (definitions, schemas and
-//     per-object ObjectStats) behind versioned invalidation — the
-//     metastore bumps a table version on every registration change, so
-//     staleness is one cheap version compare instead of a re-read.
 //   - FooterCache: storage-node decoded parquetlite footers (FileMeta,
 //     including the chunk statistics zone-map pruning consumes), keyed by
 //     object version so compileRead prunes without re-decoding.
@@ -13,12 +9,15 @@
 //     (object version, row group, column) with byte-budget LRU eviction
 //     and two-touch admission on pruning-heavy scans.
 //
-// Shared-value safety: cached *metastore.Table, *parquetlite.FileMeta and
-// *column.Vector values are immutable by convention — the exec operator
-// library never mutates input vectors in place (filter, gather, slice and
-// append all copy), and the metastore replaces table pointers wholesale —
-// which is what makes handing the same cached value to concurrent queries
-// sound.
+// Table metadata is not cached here: the metastore is in-process and
+// serves immutable snapshots, so connectors resolve tables through it
+// directly.
+//
+// Shared-value safety: cached *parquetlite.FileMeta and *column.Vector
+// values are immutable by convention — the exec operator library never
+// mutates input vectors in place (filter, gather, slice and append all
+// copy) — which is what makes handing the same cached value to concurrent
+// queries sound.
 //
 // Every constructor accepts a zero/negative budget to mean "disabled",
 // and every method is safe on a nil receiver, so call sites never branch
@@ -27,14 +26,12 @@ package cache
 
 import "strconv"
 
-// Default budgets, overridable via cmd/ocsd and cmd/prestolite flags.
+// Default budgets, overridable via cmd/ocsd flags.
 const (
 	// DefaultFooterCacheBytes bounds the per-node decoded-footer cache.
 	DefaultFooterCacheBytes = 8 << 20
 	// DefaultPageCacheBytes bounds the per-node decoded-chunk cache.
 	DefaultPageCacheBytes = 64 << 20
-	// DefaultTableCacheEntries bounds the per-connector metadata cache.
-	DefaultTableCacheEntries = 1024
 )
 
 // ObjectKey names one version of one object: "bucket/object@generation".

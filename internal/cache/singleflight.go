@@ -5,7 +5,7 @@ import "sync"
 // flight coalesces concurrent loads of the same key into one execution:
 // the first caller runs fn, everyone else arriving before it finishes
 // blocks and shares the result. This keeps N simultaneous queries for the
-// same cold table or footer from triggering N identical decodes.
+// same cold footer from triggering N identical decodes.
 type flight struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall

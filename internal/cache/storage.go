@@ -321,10 +321,6 @@ func (s *Storage) InvalidateObject(bucket, object string) {
 // /metrics discoverable.
 func MetricNames() []string {
 	return []string{
-		telemetry.MetricMetaCacheHits,
-		telemetry.MetricMetaCacheMisses,
-		telemetry.MetricMetaCacheInvalidations,
-		telemetry.MetricMetaCacheHitRatio,
 		telemetry.MetricFooterCacheHits,
 		telemetry.MetricFooterCacheMisses,
 		telemetry.MetricFooterCacheEvictions,

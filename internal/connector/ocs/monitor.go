@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"prestocs/internal/engine"
-	"prestocs/internal/telemetry"
 )
 
 // Record is one completed query in the pushdown history.
@@ -38,7 +37,6 @@ type Monitor struct {
 	filled  bool
 	total   int64
 	success int64
-	metrics *telemetry.Registry
 	// policy, when set, receives each completion so the adaptive pushdown
 	// policy's plan-time advice (AdvisePlanPushdown) tracks the same
 	// events the window does.
@@ -51,15 +49,6 @@ func NewMonitor(size int) *Monitor {
 		size = 64
 	}
 	return &Monitor{window: make([]Record, size), size: size}
-}
-
-// SetMetrics mirrors the monitor's lifetime totals into reg as the
-// ocs_monitor_* series, so the sliding-window history and the live
-// /metrics endpoint count from the same events.
-func (m *Monitor) SetMetrics(reg *telemetry.Registry) {
-	m.mu.Lock()
-	m.metrics = reg
-	m.mu.Unlock()
 }
 
 // QueryCompleted implements engine.EventListener.
@@ -88,15 +77,8 @@ func (m *Monitor) QueryCompleted(ev engine.QueryEvent) {
 	if rec.Succeeded {
 		m.success++
 	}
-	reg := m.metrics
 	policy := m.policy
 	m.mu.Unlock()
-	reg.Counter(telemetry.MetricMonitorQueries).Inc()
-	if rec.Succeeded {
-		reg.Counter(telemetry.MetricMonitorSuccesses).Inc()
-	}
-	reg.Counter(telemetry.MetricMonitorFallbacks).Add(rec.Fallbacks)
-	reg.Counter(telemetry.MetricMonitorSplitsPruned).Add(rec.SplitsPruned)
 	if policy != nil {
 		policy.queryCompleted(rec.Succeeded)
 	}

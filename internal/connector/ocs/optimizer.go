@@ -57,7 +57,7 @@ func (o *localOptimizer) optimizeJoin(root plan.Node, session *engine.Session) (
 		}
 		var node plan.Node = &plan.Join{
 			Probe: probe, Build: build,
-			ProbeKeys: j.ProbeKeys, BuildKeys: j.BuildKeys, Strategy: j.Strategy,
+			ProbeKeys: j.ProbeKeys, BuildKeys: j.BuildKeys,
 		}
 		for i := len(above) - 1; i >= 0; i-- {
 			next, err := plan.ReplaceChild(above[i], node)

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"prestocs/internal/cache"
 	"prestocs/internal/column"
 	"prestocs/internal/costmodel"
 	"prestocs/internal/engine"
@@ -31,7 +30,6 @@ import (
 type Connector struct {
 	catalog string
 	meta    *metastore.Metastore
-	tables  *cache.TableCache
 	client  *ocsserver.Client
 	monitor *Monitor
 	policy  *Policy
@@ -41,14 +39,10 @@ type Connector struct {
 }
 
 // New creates a connector bound to a metastore and an OCS frontend.
-// Table metadata (definitions, schemas, per-object stats) is served
-// through a versioned cache sized at cache.DefaultTableCacheEntries;
-// resize with SetTableCacheEntries.
 func New(catalog string, meta *metastore.Metastore, client *ocsserver.Client) *Connector {
 	c := &Connector{
 		catalog: catalog,
 		meta:    meta,
-		tables:  cache.NewTableCache(meta, cache.DefaultTableCacheEntries),
 		client:  client,
 		monitor: NewMonitor(64),
 		policy:  NewPolicy(costmodel.Default()),
@@ -67,29 +61,18 @@ func (c *Connector) Monitor() *Monitor { return c.monitor }
 // Policy returns the connector's adaptive pushdown policy.
 func (c *Connector) Policy() *Policy { return c.policy }
 
-// SetTableCacheEntries resizes the table-metadata cache (0 disables
-// caching). Call before serving queries.
-func (c *Connector) SetTableCacheEntries(n int) {
-	c.tables = cache.NewTableCache(c.meta, n)
-}
-
-// SetMetrics binds the table-metadata cache counters and the adaptive
-// policy's decision/flip/load series to a registry; call before serving
-// queries.
+// SetMetrics binds the adaptive policy's decision/flip/load series to a
+// registry; call before serving queries.
 func (c *Connector) SetMetrics(reg *telemetry.Registry) {
-	c.tables.Instrument(reg, "catalog", c.catalog)
 	c.policy.SetMetrics(reg)
 }
 
-// TableHandle implements engine.Connector; lookups go through the
-// versioned metadata cache, so N concurrent queries for a hot table cost
-// one metastore round trip plus N cheap version checks. The handle
-// additionally pins the metastore snapshot it resolved, freezing the
-// object set a racing ingest or compaction could otherwise mutate out
-// from under the scan; the engine releases the pin when the query
-// finishes (see Handle.ReleaseSnapshot).
+// TableHandle implements engine.Connector. The handle pins the metastore
+// snapshot it resolved, freezing the object set a racing ingest or
+// compaction could otherwise mutate out from under the scan; the engine
+// releases the pin when the query finishes (see Handle.ReleaseSnapshot).
 func (c *Connector) TableHandle(schema, table string) (plan.TableHandle, error) {
-	t, pin, err := c.tables.GetPinned(schema, table)
+	t, pin, err := c.meta.GetPinned(schema, table)
 	if err != nil {
 		return nil, err
 	}

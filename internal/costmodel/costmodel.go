@@ -72,26 +72,6 @@ type Params struct {
 	// pushdown, and the mechanism by which shipping fewer rows to the
 	// engine saves far more than raw wire time.
 	IngestOverhead float64
-	// BroadcastJoinMaxRows / BroadcastJoinMaxBytes bound the join build
-	// side that may be replicated to every leaf worker. A build side
-	// exceeding either bound costs more to copy per worker than the
-	// repartitioned probe saves, so the engine falls back to the
-	// partitioned strategy (probe on the final stage).
-	BroadcastJoinMaxRows  int64
-	BroadcastJoinMaxBytes int64
-}
-
-// BroadcastJoin reports whether a build side of the given measured size
-// should be broadcast to the leaf workers rather than probed centrally.
-func (p Params) BroadcastJoin(rows, bytes int64) bool {
-	maxRows, maxBytes := p.BroadcastJoinMaxRows, p.BroadcastJoinMaxBytes
-	if maxRows <= 0 {
-		maxRows = Default().BroadcastJoinMaxRows
-	}
-	if maxBytes <= 0 {
-		maxBytes = Default().BroadcastJoinMaxBytes
-	}
-	return rows <= maxRows && bytes <= maxBytes
 }
 
 // Default returns the paper-testbed parameters.
@@ -105,11 +85,6 @@ func Default() Params {
 		SecondsPerUnit:     100e-9,   // 100 ns per unit per core-GHz
 		RPCOverheadSec:     100e-6,   // 100 µs per round trip
 		IngestOverhead:     40.0,
-		// Broadcast while the build side fits comfortably in one worker's
-		// working set; the scaled-down testbed keeps the same ratio to
-		// table sizes as Presto's 100 MB default does at full scale.
-		BroadcastJoinMaxRows:  1 << 20,
-		BroadcastJoinMaxBytes: 64 << 20,
 	}
 }
 

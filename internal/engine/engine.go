@@ -11,7 +11,6 @@ import (
 	"prestocs/internal/analyzer"
 	"prestocs/internal/bloom"
 	"prestocs/internal/column"
-	"prestocs/internal/costmodel"
 	"prestocs/internal/exec"
 	"prestocs/internal/optimizer"
 	"prestocs/internal/plan"
@@ -32,11 +31,6 @@ type Engine struct {
 	// Workers is the leaf-stage parallelism (like Presto task
 	// concurrency). Defaults to GOMAXPROCS.
 	Workers int
-
-	// Cost parameterizes engine-side planning decisions, currently the
-	// broadcast-vs-partitioned join strategy. The zero value falls back
-	// to costmodel.Default() thresholds.
-	Cost costmodel.Params
 
 	// Tracer, when set, gives every query a root span with one child per
 	// coordinator stage; the trace continues across RPC boundaries into
@@ -308,19 +302,17 @@ func (e *Engine) run(ctx context.Context, root plan.Node, scan *plan.TableScan, 
 	}
 	stats.Splits = nsplits
 	exchangeSchema := leafOutputSchema(leafChain, scan)
-	return e.finishFinalStage(stage, exchangeSchema, finalChain, nil, stats)
+	return e.finishFinalStage(stage, exchangeSchema, finalChain, stats)
 }
 
 // runJoin executes a plan containing one inner equi-join. The build
 // side runs first as its own leaf stage and is indexed into a hash
-// table on the coordinator. Strategy then picks where the probe
-// happens: broadcast replicates the (small) table into every leaf
-// worker so probing parallelizes with the scan; partitioned keeps the
-// table on the coordinator and probes the exchange stream in the final
-// stage. When the build side has a single key and the probe branch is
-// filter-only over a BloomJoinHandle, a bloom filter over the build
-// keys is pushed into the probe scan so storage drops non-matching rows
-// before they cross the network.
+// table on the coordinator. The table is then broadcast: every leaf
+// worker probes it (in-process workers share it by pointer), so probing
+// parallelizes with the scan. When the build side has a single key and
+// the probe branch is filter-only over a BloomJoinHandle, a bloom filter
+// over the build keys is pushed into the probe scan so storage drops
+// non-matching rows before they cross the network.
 func (e *Engine) runJoin(ctx context.Context, root plan.Node, join *plan.Join, probeScan *plan.TableScan, probeConn Connector, session *Session, stats *QueryStats) (*column.Page, *types.Schema, error) {
 	above, err := chainToJoin(root)
 	if err != nil {
@@ -368,16 +360,7 @@ func (e *Engine) runJoin(ctx context.Context, root plan.Node, join *plan.Join, p
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.JoinBuildRows = int64(table.Rows())
-
-	strategy := join.Strategy
-	if strategy == plan.JoinAuto {
-		if e.Cost.BroadcastJoin(int64(table.Rows()), table.Bytes()) {
-			strategy = plan.JoinBroadcast
-		} else {
-			strategy = plan.JoinPartitioned
-		}
-	}
+	stats.Join, stats.JoinBuildRows = true, int64(table.Rows())
 
 	// Bloom pushdown into the probe scan. Filter-only probe branches
 	// keep scan-schema ordinals intact, so the join key ordinal maps
@@ -396,31 +379,17 @@ func (e *Engine) runJoin(ctx context.Context, root plan.Node, join *plan.Join, p
 		}
 	}
 
-	// Probe stage.
-	var wrap func(exec.Operator, *exec.Meter) (exec.Operator, error)
-	var extra func(exec.Operator) (exec.Operator, error)
-	var exchangeSchema *types.Schema
-	switch strategy {
-	case plan.JoinBroadcast:
-		stats.JoinStrategy = "broadcast"
-		// The table is read-only after build; every worker probes it.
-		wrap = func(op exec.Operator, meter *exec.Meter) (exec.Operator, error) {
-			return exec.NewHashJoinProbe(op, table, join.ProbeKeys, meter)
-		}
-		exchangeSchema = join.OutputSchema()
-	default:
-		stats.JoinStrategy = "partitioned"
-		extra = func(src exec.Operator) (exec.Operator, error) {
-			return exec.NewHashJoinProbe(src, table, join.ProbeKeys, &stats.FinalMeter)
-		}
-		exchangeSchema = leafOutputSchema(probeLeaf, probeScan)
+	// Probe stage. The table is read-only after build; every worker
+	// probes it.
+	wrap := func(op exec.Operator, meter *exec.Meter) (exec.Operator, error) {
+		return exec.NewHashJoinProbe(op, table, join.ProbeKeys, meter)
 	}
 	probeStage, probeSplits, err := e.startLeafStage(ctx, probeLeaf, probeScan, probeConn, stats, wrap)
 	if err != nil {
 		return nil, nil, err
 	}
 	stats.Splits = probeSplits + buildSplits
-	return e.finishFinalStage(probeStage, exchangeSchema, above, extra, stats)
+	return e.finishFinalStage(probeStage, join.OutputSchema(), above, stats)
 }
 
 // chainToJoin returns the single-child spine strictly above the plan's
@@ -634,23 +603,15 @@ func (e *Engine) startLeafStage(ctx context.Context, chain []plan.Node, scan *pl
 }
 
 // finishFinalStage consumes a leaf stage's exchange output through the
-// final chain on the coordinator. extra, when set, is inserted between
-// the exchange and the final chain (the partitioned hash join probe).
-func (e *Engine) finishFinalStage(stage *leafStage, exchangeSchema *types.Schema, finalChain []plan.Node, extra func(exec.Operator) (exec.Operator, error), stats *QueryStats) (*column.Page, *types.Schema, error) {
-	source := exec.Operator(exec.NewFuncSource(exchangeSchema, func() (*column.Page, error) {
+// final chain on the coordinator.
+func (e *Engine) finishFinalStage(stage *leafStage, exchangeSchema *types.Schema, finalChain []plan.Node, stats *QueryStats) (*column.Page, *types.Schema, error) {
+	source := exec.NewFuncSource(exchangeSchema, func() (*column.Page, error) {
 		page, ok := <-stage.Pages
 		if !ok {
 			return nil, nil
 		}
 		return page, nil
-	}))
-	var err error
-	if extra != nil {
-		if source, err = extra(source); err != nil {
-			stage.Drain()
-			return nil, nil, err
-		}
-	}
+	})
 	finalOp, err := compileChain(finalChain, source, &stats.FinalMeter)
 	if err != nil {
 		// Drain workers before returning so goroutines do not leak.

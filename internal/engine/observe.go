@@ -33,8 +33,7 @@ func (e *Engine) observeQuery(qspan *telemetry.Span, stats *QueryStats, err erro
 		if stats.UsedPushdown {
 			qspan.SetAttr("pushdown", strings.Join(stats.PushedDown, ","))
 		}
-		if stats.JoinStrategy != "" {
-			qspan.SetAttr("join_strategy", stats.JoinStrategy)
+		if stats.Join {
 			qspan.SetAttr("join_build_rows", fmt.Sprint(stats.JoinBuildRows))
 		}
 		if err != nil {
@@ -58,9 +57,8 @@ func (e *Engine) observeQuery(qspan *telemetry.Span, stats *QueryStats, err erro
 	if stats.UsedPushdown {
 		reg.Counter(telemetry.MetricQueryPushdown).Inc()
 	}
-	if stats.JoinStrategy != "" {
+	if stats.Join {
 		reg.Counter(telemetry.MetricQueryJoins).Inc()
-		reg.Counter(telemetry.MetricJoinStrategyChosen, "strategy", stats.JoinStrategy).Inc()
 		reg.Counter(telemetry.MetricJoinBuildRows).Add(stats.JoinBuildRows)
 	}
 	reg.Counter(telemetry.MetricJoinBloomPushdown).Add(scan.JoinBloomSplits)

@@ -286,10 +286,10 @@ type QueryStats struct {
 	PushedDown   []string // operator kinds absorbed by the connector
 	UsedPushdown bool
 
-	// Join execution (zero values for single-table queries).
-	// JoinStrategy is "broadcast" or "partitioned"; JoinBuildRows the
-	// rows indexed from the build side.
-	JoinStrategy  string
+	// Join execution (zero values for single-table queries). Join
+	// reports that the query ran a hash join; JoinBuildRows the rows
+	// indexed from the build side.
+	Join          bool
 	JoinBuildRows int64
 
 	// TraceID identifies the query's trace when the engine has a tracer

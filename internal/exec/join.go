@@ -21,8 +21,8 @@ import (
 
 // JoinTable is the immutable result of draining a join's build side:
 // dense build rows (NULL-key rows removed) plus the key index. Safe for
-// concurrent probing once built (broadcast joins probe from every leaf
-// worker).
+// concurrent probing once built (every leaf worker probes the same
+// table).
 type JoinTable struct {
 	schema *types.Schema
 	keys   []int
@@ -113,10 +113,6 @@ func (t *JoinTable) Rows() int { return t.rows.NumRows() }
 // InputRows returns rows drained from the build side before NULL-key
 // rejection.
 func (t *JoinTable) InputRows() int64 { return t.inputRows }
-
-// Bytes returns the columnar size of the indexed rows (the quantity the
-// cost model's broadcast threshold prices).
-func (t *JoinTable) Bytes() int64 { return t.rows.ByteSize() }
 
 // BuildBloom constructs a bloom filter over the first key column's
 // values — the filter the engine pushes into the probe-side OCS scan.

@@ -135,9 +135,7 @@ func StartClusterWith(storageNodes int, cfg Config) (*Cluster, error) {
 		for label, tr := range ocsCluster.Tracers {
 			c.Tracers[label] = tr
 		}
-		c.OCSConn.Monitor().SetMetrics(c.Metrics)
 		c.OCSConn.SetMetrics(c.Metrics)
-		hiveConn.SetMetrics(c.Metrics)
 	}
 	return c, nil
 }

@@ -159,7 +159,7 @@ func scanPinnedHandle(t *testing.T, c *Cluster, h *ocsconn.Handle) []string {
 // TestIngestQ3EndToEndWithConcurrentCompaction is the PR's acceptance
 // test: both Q3 tables are built entirely through the ingest path — SQL
 // INSERT statements through engine.Ingest, no datagen pre-load — and the
-// Q3-shaped join, with split pruning and the metadata caches active and
+// Q3-shaped join, with split pruning and the node caches active and
 // a compactor racing the queries, returns exactly the row-at-a-time
 // reference answer before, during and after compaction.
 func TestIngestQ3EndToEndWithConcurrentCompaction(t *testing.T) {

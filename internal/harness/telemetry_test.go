@@ -122,9 +122,6 @@ func TestQueryProducesConnectedTrace(t *testing.T) {
 	if got := reg.CounterValue(telemetry.MetricQueryBytesMoved); got != scan.BytesMoved {
 		t.Errorf("engine_query_bytes_moved_total = %d, ScanStats = %d", got, scan.BytesMoved)
 	}
-	if got := reg.CounterValue(telemetry.MetricMonitorQueries); got != 1 {
-		t.Errorf("ocs_monitor_queries_total = %d, want 1", got)
-	}
 	if reg.CounterValue(telemetry.MetricScanPoolRowGroups) == 0 {
 		t.Error("scan pool recorded no row groups")
 	}

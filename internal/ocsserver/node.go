@@ -149,8 +149,8 @@ func (n *StorageNode) Close() error {
 
 // DefaultMaxBloomBytes is the bloom bit-array cap applied when
 // MaxBloomBytes is zero: 256 KiB holds ~200k build keys at the default
-// 10 bits/key, well past the broadcast-join threshold, while keeping a
-// degenerate plan from shipping an arbitrarily large array per split.
+// 10 bits/key, while keeping a degenerate plan from shipping an
+// arbitrarily large array per split.
 const DefaultMaxBloomBytes = 256 << 10
 
 // checkBloomSize enforces MaxBloomBytes on every BloomFilterRel in the

@@ -69,7 +69,6 @@ func optimizeJoin(root plan.Node) (plan.Node, error) {
 		Build:     join.Build,
 		ProbeKeys: join.ProbeKeys,
 		BuildKeys: join.BuildKeys,
-		Strategy:  join.Strategy,
 	})
 	for i := len(above) - 1; i >= 0; i-- {
 		next, err := plan.ReplaceChild(above[i], node)

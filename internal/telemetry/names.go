@@ -90,23 +90,15 @@ const (
 	// MetricQuerySplitsPruned counts splits dropped before scheduling by
 	// per-object statistics (zone-map split pruning).
 	MetricQuerySplitsPruned = "engine_query_splits_pruned_total"
-	// Join execution: queries that ran a hash join, the build-side rows
-	// indexed across them, and the per-query split of broadcast vs
-	// partitioned probe strategies (labels: strategy).
-	MetricQueryJoins         = "engine_join_queries_total"
-	MetricJoinBuildRows      = "engine_join_build_rows_total"
-	MetricJoinStrategyChosen = "engine_join_strategy_total"
+	// Join execution: queries that ran a hash join and the build-side
+	// rows indexed across them.
+	MetricQueryJoins    = "engine_join_queries_total"
+	MetricJoinBuildRows = "engine_join_build_rows_total"
 	// Bloom pushdown accounting: probe splits that carried a build-side
 	// bloom filter into storage, and splits where the node rejected the
 	// filter (size cap) and the scan retried without it.
 	MetricJoinBloomPushdown = "engine_join_bloom_splits_total"
 	MetricJoinBloomRejected = "engine_join_bloom_rejected_total"
-
-	// Connector pushdown monitor (window-independent lifetime totals).
-	MetricMonitorQueries      = "ocs_monitor_queries_total"
-	MetricMonitorSuccesses    = "ocs_monitor_successes_total"
-	MetricMonitorFallbacks    = "ocs_monitor_fallback_splits_total"
-	MetricMonitorSplitsPruned = "ocs_monitor_splits_pruned_total"
 
 	// Adaptive pushdown policy (connector side). Decisions counts per-split
 	// choices (labels: choice=pushdown|raw); flips counts mid-stream
@@ -118,13 +110,6 @@ const (
 	MetricPushdownFlips            = "ocs_pushdown_flips_total"
 	MetricPushdownShapeSelectivity = "ocs_pushdown_shape_selectivity_pct"
 	MetricStorageLoad              = "ocs_storage_load_backlog"
-
-	// Engine-side table-metadata cache (labels: catalog). Hit ratios are
-	// lifetime percentages (0-100).
-	MetricMetaCacheHits          = "cache_meta_hits_total"
-	MetricMetaCacheMisses        = "cache_meta_misses_total"
-	MetricMetaCacheInvalidations = "cache_meta_invalidations_total"
-	MetricMetaCacheHitRatio      = "cache_meta_hit_ratio_pct"
 
 	// Storage-node decoded-footer cache (labels: node).
 	MetricFooterCacheHits      = "ocs_cache_footer_hits_total"

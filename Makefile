@@ -249,7 +249,9 @@ check:
 
 # ci-fast is the quick CI lane: formatting, compilation and every static
 # gate — everything that fails in seconds. The GitHub workflow calls this
-# exact target so CI and local runs cannot drift.
+# exact target so CI and local runs cannot drift. perfbench is its own
+# module, so `go build ./...` never compiles it; vetting it here catches
+# an API change that breaks the benchmark.
 ci-fast:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -260,6 +262,7 @@ ci-fast:
 	@echo "gofmt: clean"
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	$(MAKE) vet-vectorized
 	$(MAKE) vet-telemetry
 	$(MAKE) vet-pruning

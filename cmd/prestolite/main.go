@@ -104,7 +104,7 @@ func main() {
 	defer ocsCli.Close()
 	conn := ocsconn.New("ocs", ms, ocsCli)
 	eng.AddConnector(conn)
-	eng.AddEventListener(conn.Monitor())
+	eng.AddEventListener(conn.Policy())
 	if *profile || *metricsListen != "" {
 		conn.SetMetrics(eng.Metrics)
 	}

@@ -42,7 +42,11 @@ func main() {
 
 	for _, mode := range []string{"none", "all"} {
 		session := engine.NewSession().Set(ocsconn.SessionPushdown, mode)
-		res, err := cluster.Engine.Execute(context.Background(), query, session)
+		q, err := cluster.Engine.Submit(context.Background(), query, engine.WithSession(session))
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := q.Result()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -39,14 +39,22 @@ func main() {
 
 	// OCS connector with full pushdown.
 	session := engine.NewSession().Set(ocsconn.SessionPushdown, "filter_project_agg")
-	ocsRes, err := cluster.Engine.Execute(context.Background(), dataset.Query, session)
+	q, err := cluster.Engine.Submit(context.Background(), dataset.Query, engine.WithSession(session))
+	if err != nil {
+		log.Fatal(err)
+	}
+	ocsRes, err := q.Result()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Hive connector: same query, S3 Select path (filter-only).
 	hiveQuery := strings.Replace(dataset.Query, "FROM lineitem", "FROM hive.lineitem", 1)
-	hiveRes, err := cluster.Engine.Execute(context.Background(), hiveQuery, engine.NewSession())
+	q, err = cluster.Engine.Submit(context.Background(), hiveQuery)
+	if err != nil {
+		log.Fatal(err)
+	}
+	hiveRes, err := q.Result()
 	if err != nil {
 		log.Fatal(err)
 	}

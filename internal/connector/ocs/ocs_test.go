@@ -2,6 +2,7 @@ package ocs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -15,6 +16,15 @@ import (
 	"prestocs/internal/parquetlite"
 	"prestocs/internal/types"
 )
+
+// runSQL submits sql under session s and blocks for its result.
+func runSQL(ctx context.Context, e *engine.Engine, sql string, s *engine.Session) (*engine.Result, error) {
+	q, err := e.Submit(ctx, sql, engine.WithSession(s))
+	if err != nil {
+		return nil, err
+	}
+	return q.Result()
+}
 
 // fixture: a Laghos-like table of 4 objects × 60 rows. vertex_id is
 // split-disjoint (each object owns its own id range), enabling full
@@ -88,7 +98,7 @@ func setup(t *testing.T) (*engine.Engine, *Connector) {
 	e.DefaultCatalog = "ocs"
 	e.Workers = 2
 	e.AddConnector(conn)
-	e.AddEventListener(conn.Monitor())
+	e.AddEventListener(conn.Policy())
 	return e, conn
 }
 
@@ -123,13 +133,13 @@ func session(mode string) *engine.Session {
 func TestPushdownSoundness(t *testing.T) {
 	e, _ := setup(t)
 	for _, q := range []string{laghosQuery, deepWaterQuery} {
-		baseline, err := e.Execute(context.Background(), q, session("none"))
+		baseline, err := runSQL(context.Background(), e, q, session("none"))
 		if err != nil {
 			t.Fatalf("baseline: %v", err)
 		}
 		want := rowMultiset(baseline.Page)
 		for _, mode := range allModes[1:] {
-			res, err := e.Execute(context.Background(), q, session(mode))
+			res, err := runSQL(context.Background(), e, q, session(mode))
 			if err != nil {
 				t.Fatalf("mode %s: %v", mode, err)
 			}
@@ -150,7 +160,7 @@ func TestProgressivePushdownReducesMovement(t *testing.T) {
 	e, _ := setup(t)
 	moved := map[string]int64{}
 	for _, mode := range []string{"none", "filter", "filter_agg", "all"} {
-		res, err := e.Execute(context.Background(), laghosQuery, session(mode))
+		res, err := runSQL(context.Background(), e, laghosQuery, session(mode))
 		if err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
@@ -170,7 +180,7 @@ func TestPushedOperatorsPerMode(t *testing.T) {
 		"all":        {"filter", "aggregation", "final-project", "topn"},
 	}
 	for mode, want := range cases {
-		res, err := e.Execute(context.Background(), laghosQuery, session(mode))
+		res, err := runSQL(context.Background(), e, laghosQuery, session(mode))
 		if err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
@@ -180,7 +190,7 @@ func TestPushedOperatorsPerMode(t *testing.T) {
 		}
 	}
 	// Deep-water-like query has a pre-aggregation projection.
-	res, err := e.Execute(context.Background(), deepWaterQuery, session("filter_project_agg"))
+	res, err := runSQL(context.Background(), e, deepWaterQuery, session("filter_project_agg"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +204,7 @@ func TestAggWithoutProjectCannotSkip(t *testing.T) {
 	// filter_agg on a plan with a pre-aggregation projection must stop at
 	// the projection (contiguity), pushing the filter only.
 	e, _ := setup(t)
-	res, err := e.Execute(context.Background(), deepWaterQuery, session("filter_agg"))
+	res, err := runSQL(context.Background(), e, deepWaterQuery, session("filter_agg"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +229,7 @@ func TestTopNRequiresDisjointKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := strings.Replace(laghosQuery, "FROM mesh", "FROM mesh2", 1)
-	res, err := e.Execute(context.Background(), q, session("all"))
+	res, err := runSQL(context.Background(), e, q, session("all"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +239,7 @@ func TestTopNRequiresDisjointKeys(t *testing.T) {
 		}
 	}
 	// Results still match the baseline.
-	baseline, err := e.Execute(context.Background(), q, session("none"))
+	baseline, err := runSQL(context.Background(), e, q, session("none"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +256,13 @@ func TestTopNRequiresDisjointKeys(t *testing.T) {
 
 func TestAutoModeDecisions(t *testing.T) {
 	e, _ := setup(t)
-	res, err := e.Execute(context.Background(), laghosQuery, session("auto"))
+	res, err := runSQL(context.Background(), e, laghosQuery, session("auto"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Auto should at least push the aggregation (80 groups / 240 rows
 	// ≈ 67% reduction > 50% threshold) — and must stay sound.
-	baseline, _ := e.Execute(context.Background(), laghosQuery, session("none"))
+	baseline, _ := runSQL(context.Background(), e, laghosQuery, session("none"))
 	a, b := rowMultiset(res.Page), rowMultiset(baseline.Page)
 	for i := range a {
 		if a[i] != b[i] {
@@ -272,7 +282,7 @@ func TestAutoModeDecisions(t *testing.T) {
 
 func TestSubstraitGenTimed(t *testing.T) {
 	e, _ := setup(t)
-	res, err := e.Execute(context.Background(), laghosQuery, session("all"))
+	res, err := runSQL(context.Background(), e, laghosQuery, session("all"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,25 +298,21 @@ func TestSubstraitGenTimed(t *testing.T) {
 	}
 }
 
-func TestMonitorWindow(t *testing.T) {
+// TestPolicyCountsCompletedQueries: the policy, registered as the
+// engine's event listener, counts every finished query.
+func TestPolicyCountsCompletedQueries(t *testing.T) {
 	e, conn := setup(t)
 	for i := 0; i < 3; i++ {
-		if _, err := e.Execute(context.Background(), laghosQuery, session("all")); err != nil {
+		if _, err := runSQL(context.Background(), e, laghosQuery, session("all")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	recs := conn.Monitor().Window()
-	if len(recs) != 3 {
-		t.Fatalf("window = %d records", len(recs))
-	}
-	if conn.Monitor().SuccessRate() != 1.0 {
-		t.Errorf("success rate = %v", conn.Monitor().SuccessRate())
-	}
-	if conn.Monitor().AvgBytesMoved(nil) <= 0 {
-		t.Error("avg bytes moved not recorded")
-	}
-	if recs[0].Table != "mesh" || len(recs[0].Pushed) == 0 {
-		t.Errorf("record = %+v", recs[0])
+	p := conn.Policy()
+	p.mu.Lock()
+	queries, successes := p.queries, p.successes
+	p.mu.Unlock()
+	if queries != 3 || successes != 3 {
+		t.Errorf("policy counted %d/%d successes, want 3/3", successes, queries)
 	}
 }
 
@@ -319,7 +325,7 @@ func TestParseModeErrors(t *testing.T) {
 		t.Error("default mode should be all")
 	}
 	e, _ := setup(t)
-	if _, err := e.Execute(context.Background(), laghosQuery, session("bogus")); err == nil {
+	if _, err := runSQL(context.Background(), e, laghosQuery, session("bogus")); err == nil {
 		t.Error("bogus session mode accepted")
 	}
 }
@@ -327,7 +333,7 @@ func TestParseModeErrors(t *testing.T) {
 func TestBareLimitPushdown(t *testing.T) {
 	e, _ := setup(t)
 	q := "SELECT vertex_id, e FROM mesh WHERE x > 0.5 LIMIT 7"
-	res, err := e.Execute(context.Background(), q, session("all"))
+	res, err := runSQL(context.Background(), e, q, session("all"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +354,7 @@ func TestBareLimitPushdown(t *testing.T) {
 		t.Errorf("storage returned %d rows, want ≤ 28", rows)
 	}
 	// Filter mode leaves the limit on the engine: same answer count.
-	res2, err := e.Execute(context.Background(), q, session("filter"))
+	res2, err := runSQL(context.Background(), e, q, session("filter"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,14 +366,14 @@ func TestBareLimitPushdown(t *testing.T) {
 func TestAutoFallsBackAfterFailures(t *testing.T) {
 	e, conn := setup(t)
 	// Record a failing history: 5 queries, 4 failed.
-	conn.Monitor().QueryCompleted(engine.QueryEvent{})
+	conn.Policy().QueryCompleted(engine.QueryEvent{})
 	for i := 0; i < 4; i++ {
-		conn.Monitor().QueryCompleted(engine.QueryEvent{Err: fmt.Errorf("storage fault %d", i)})
+		conn.Policy().QueryCompleted(engine.QueryEvent{Err: fmt.Errorf("storage fault %d", i)})
 	}
 	if conn.Policy().AdvisePlanPushdown() {
 		t.Fatal("policy should advise against pushdown")
 	}
-	res, err := e.Execute(context.Background(), laghosQuery, session("auto"))
+	res, err := runSQL(context.Background(), e, laghosQuery, session("auto"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +381,7 @@ func TestAutoFallsBackAfterFailures(t *testing.T) {
 		t.Errorf("auto pushed %v despite failing history", res.Stats.PushedDown)
 	}
 	// Forced mode ignores the advice.
-	res, err = e.Execute(context.Background(), laghosQuery, session("all"))
+	res, err = runSQL(context.Background(), e, laghosQuery, session("all"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,16 +390,29 @@ func TestAutoFallsBackAfterFailures(t *testing.T) {
 	}
 }
 
-func TestMonitorRing(t *testing.T) {
-	m := NewMonitor(2)
-	for i := 0; i < 5; i++ {
-		m.QueryCompleted(engine.QueryEvent{SQL: fmt.Sprintf("q%d", i)})
+// TestAutoIgnoresCancelledQueries: a query its caller cancels says
+// nothing about storage health, so a run of cancellations must not
+// switch auto mode off pushdown.
+func TestAutoIgnoresCancelledQueries(t *testing.T) {
+	e, conn := setup(t)
+	if _, err := runSQL(context.Background(), e, laghosQuery, session("auto")); err != nil {
+		t.Fatal(err)
 	}
-	w := m.Window()
-	if len(w) != 2 || w[0].SQL != "q3" || w[1].SQL != "q4" {
-		t.Errorf("ring window = %+v", w)
+	for i := 0; i < 8; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := runSQL(ctx, e, laghosQuery, session("auto")); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled query returned %v", err)
+		}
 	}
-	if NewMonitor(0) == nil {
-		t.Error("zero-size monitor")
+	if !conn.Policy().AdvisePlanPushdown() {
+		t.Fatal("cancelled queries counted as storage failures")
+	}
+	res, err := runSQL(context.Background(), e, laghosQuery, session("auto"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stats.PushedDown) == 0 {
+		t.Error("auto mode stopped pushing after cancelled queries")
 	}
 }

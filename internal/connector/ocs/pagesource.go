@@ -31,7 +31,6 @@ type Connector struct {
 	catalog string
 	meta    *metastore.Metastore
 	client  *ocsserver.Client
-	monitor *Monitor
 	policy  *Policy
 	// ingester, when attached, enables the write path (engine.Ingest)
 	// on this catalog.
@@ -40,25 +39,20 @@ type Connector struct {
 
 // New creates a connector bound to a metastore and an OCS frontend.
 func New(catalog string, meta *metastore.Metastore, client *ocsserver.Client) *Connector {
-	c := &Connector{
+	return &Connector{
 		catalog: catalog,
 		meta:    meta,
 		client:  client,
-		monitor: NewMonitor(64),
 		policy:  NewPolicy(costmodel.Default()),
 	}
-	c.monitor.policy = c.policy
-	return c
 }
 
 // Name implements engine.Connector.
 func (c *Connector) Name() string { return c.catalog }
 
-// Monitor returns the connector's pushdown monitor (register it with the
-// engine via AddEventListener).
-func (c *Connector) Monitor() *Monitor { return c.monitor }
-
-// Policy returns the connector's adaptive pushdown policy.
+// Policy returns the connector's adaptive pushdown policy; register it
+// with the engine via AddEventListener so finished queries feed its
+// plan-time advice.
 func (c *Connector) Policy() *Policy { return c.policy }
 
 // SetMetrics binds the adaptive policy's decision/flip/load series to a

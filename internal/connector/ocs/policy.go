@@ -1,6 +1,8 @@
 package ocs
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -52,9 +54,8 @@ type shapeHistory struct {
 // Policy prices pushdown vs raw scan per split from three inputs: the
 // cost model's hardware profile (Table 1), the observed per-shape
 // selectivity history, and the live storage-load signal piggybacked on
-// stream RPC frames. It replaces the query-global success-rate heuristic
-// the Monitor used to expose (AdvisePushdown) — that advice survives as
-// AdvisePlanPushdown, fed by the Monitor's completion events.
+// stream RPC frames. It is also the connector's engine.EventListener:
+// finished queries feed the plan-time advice (AdvisePlanPushdown).
 type Policy struct {
 	params costmodel.Params
 
@@ -91,10 +92,10 @@ func (p *Policy) metricsReg() *telemetry.Registry {
 	return p.metrics
 }
 
-// AdvisePlanPushdown is the plan-time feedback loop folded in from the
-// Monitor: once enough queries have run, a low success rate (e.g. a
-// flaky storage node failing pushdown executions) advises auto mode to
-// plan plain scans until reliability recovers.
+// AdvisePlanPushdown is the plan-time feedback loop: once enough queries
+// have run, a low success rate (e.g. a flaky storage node failing
+// pushdown executions) advises auto mode to plan plain scans until
+// reliability recovers.
 func (p *Policy) AdvisePlanPushdown() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -104,12 +105,18 @@ func (p *Policy) AdvisePlanPushdown() bool {
 	return 2*p.successes >= p.queries
 }
 
-// queryCompleted feeds one finished query's outcome; the Monitor calls
-// it from its EventListener hook.
-func (p *Policy) queryCompleted(succeeded bool) {
+// QueryCompleted implements engine.EventListener, feeding one finished
+// query's outcome into AdvisePlanPushdown. A query its caller cancelled
+// (Query.Kill, a cancelled context) says nothing about storage health and
+// is not counted; a deadline error is, since a black-holed node causes
+// one.
+func (p *Policy) QueryCompleted(ev engine.QueryEvent) {
+	if errors.Is(ev.Err, context.Canceled) {
+		return
+	}
 	p.mu.Lock()
 	p.queries++
-	if succeeded {
+	if ev.Err == nil {
 		p.successes++
 	}
 	p.mu.Unlock()

@@ -1,6 +1,7 @@
 package ocs
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -163,21 +164,22 @@ func TestPolicyShouldFlipNeedsLoadAndMargin(t *testing.T) {
 
 func TestPolicyAdvisePlanPushdown(t *testing.T) {
 	p := NewPolicy(costmodel.Default())
+	failed := engine.QueryEvent{Err: errors.New("storage fault")}
 	if !p.AdvisePlanPushdown() {
 		t.Error("no history must advise pushdown")
 	}
-	p.queryCompleted(true)
-	p.queryCompleted(false)
-	p.queryCompleted(false)
+	p.QueryCompleted(engine.QueryEvent{})
+	p.QueryCompleted(failed)
+	p.QueryCompleted(failed)
 	if !p.AdvisePlanPushdown() {
 		t.Error("under 4 queries must still advise pushdown")
 	}
-	p.queryCompleted(false)
+	p.QueryCompleted(failed)
 	if p.AdvisePlanPushdown() {
 		t.Error("1/4 success rate must advise against pushdown")
 	}
 	for i := 0; i < 6; i++ {
-		p.queryCompleted(true)
+		p.QueryCompleted(engine.QueryEvent{})
 	}
 	if !p.AdvisePlanPushdown() {
 		t.Error("recovered success rate must re-enable pushdown")
@@ -188,6 +190,7 @@ func TestPolicyAdvisePlanPushdown(t *testing.T) {
 // under -race it proves the shared state is lock-protected.
 func TestPolicyConcurrentObservers(t *testing.T) {
 	p := NewPolicy(costmodel.Default())
+	errFault := errors.New("storage fault")
 	p.maxShapes = 4
 	h := policyHandle(t, 10)
 	h.Adaptive = &AdaptiveParams{LoadCutoff: 4, FlipMargin: 1.5}
@@ -205,7 +208,11 @@ func TestPolicyConcurrentObservers(t *testing.T) {
 				p.ObserveFallback(hg)
 				p.decide(hg)
 				p.ShouldFlip(hg, int64(i)*1000)
-				p.queryCompleted(i%3 == 0)
+				var ev engine.QueryEvent
+				if i%3 != 0 {
+					ev.Err = errFault
+				}
+				p.QueryCompleted(ev)
 				p.AdvisePlanPushdown()
 			}
 		}(g)
@@ -216,13 +223,10 @@ func TestPolicyConcurrentObservers(t *testing.T) {
 	}
 }
 
-// TestMonitorConcurrentWraparound races QueryCompleted calls through a
-// tiny ring: the window must wrap without loss of lifetime totals and
-// the policy must see every completion.
-func TestMonitorConcurrentWraparound(t *testing.T) {
-	m := NewMonitor(4)
+// TestPolicyQueryCompletedConcurrent races QueryCompleted calls: the
+// policy must count every completion exactly once.
+func TestPolicyQueryCompletedConcurrent(t *testing.T) {
 	p := NewPolicy(costmodel.Default())
-	m.policy = p
 	var wg sync.WaitGroup
 	const goroutines, each = 8, 50
 	for g := 0; g < goroutines; g++ {
@@ -234,20 +238,11 @@ func TestMonitorConcurrentWraparound(t *testing.T) {
 				if (g+i)%2 == 1 {
 					ev.Err = fmt.Errorf("boom %d/%d", g, i)
 				}
-				m.QueryCompleted(ev)
+				p.QueryCompleted(ev)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if total := m.Total(); total != goroutines*each {
-		t.Errorf("lifetime total = %d, want %d", total, goroutines*each)
-	}
-	if got := len(m.Window()); got != 4 {
-		t.Errorf("window holds %d records, want 4", got)
-	}
-	if rate := m.SuccessRate(); rate != 0.5 {
-		t.Errorf("success rate = %v, want 0.5", rate)
-	}
 	p.mu.Lock()
 	queries, successes := p.queries, p.successes
 	p.mu.Unlock()

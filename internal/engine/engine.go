@@ -145,20 +145,6 @@ func (e *Engine) Submit(ctx context.Context, sql string, opts ...SubmitOption) (
 	return q, nil
 }
 
-// Execute runs one SQL query under the session (nil for defaults) and
-// blocks for its result.
-//
-// Deprecated: Execute is a thin shim over Submit for callers that do not
-// need the query handle; new code should use Submit, which adds
-// admission control, live status and kill.
-func (e *Engine) Execute(ctx context.Context, sql string, session *Session) (*Result, error) {
-	q, err := e.Submit(ctx, sql, WithSession(session))
-	if err != nil {
-		return nil, err
-	}
-	return q.Result()
-}
-
 // runQuery executes one admitted query end to end: parse, analyze,
 // optimize, connector optimization, then distributed execution. It is
 // the body behind the Query handle; q.ctx governs cancellation.

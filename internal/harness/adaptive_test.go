@@ -144,7 +144,7 @@ func TestAdaptiveLoadSignalPropagates(t *testing.T) {
 			defer wg.Done()
 			session := engine.NewSession().Set(ocsconn.SessionPushdown, "filter")
 			for i := 0; i < 3; i++ {
-				if _, err := c.Engine.Execute(context.Background(), heavy, session); err != nil {
+				if _, err := runSQL(context.Background(), c.Engine, heavy, session); err != nil {
 					t.Error(err)
 					return
 				}
@@ -415,7 +415,7 @@ func BenchmarkAdaptiveSweep(b *testing.B) {
 						return
 					default:
 					}
-					if _, err := c.Engine.Execute(context.Background(), heavy, session); err != nil {
+					if _, err := runSQL(context.Background(), c.Engine, heavy, session); err != nil {
 						return
 					}
 				}

@@ -96,7 +96,7 @@ func TestCacheInvalidationConcurrentReregistration(t *testing.T) {
 			defer wg.Done()
 			for q := 0; q < queries; q++ {
 				session := engine.NewSession().Set(ocsconn.SessionPushdown, "filter")
-				res, err := c.Engine.Execute(ctx, "SELECT count(*) AS c, sum(x) AS s FROM flip WHERE x >= 0", session)
+				res, err := runSQL(ctx, c.Engine, "SELECT count(*) AS c, sum(x) AS s FROM flip WHERE x >= 0", session)
 				if err != nil {
 					errs <- err
 					return
@@ -139,7 +139,7 @@ func renderEngineResult(res *engine.Result) string {
 // runs fully uncached — the replay must neither read nor poison the
 // node's footer/page caches, so both the replayed result and every later
 // warm-cache query stay byte-identical to the baseline. Queries go
-// through Engine.Execute directly (Cluster.Run would flush the caches).
+// through Engine.Submit directly (Cluster.Run would flush the caches).
 func TestCacheInvalidationKilledConnectionReplay(t *testing.T) {
 	c, proxy := proxiedCluster(t, 1)
 	d := smallLaghos(t, compress.None)
@@ -150,7 +150,7 @@ func TestCacheInvalidationKilledConnectionReplay(t *testing.T) {
 	run := func(label string) string {
 		t.Helper()
 		session := engine.NewSession().Set(ocsconn.SessionPushdown, "filter")
-		res, err := c.Engine.Execute(ctx, d.Query, session)
+		res, err := runSQL(ctx, c.Engine, d.Query, session)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -194,7 +194,7 @@ func TestCacheCountersVisibleInMetrics(t *testing.T) {
 	}
 	session := engine.NewSession().Set(ocsconn.SessionPushdown, "filter")
 	for i := 0; i < 2; i++ {
-		if _, err := c.Engine.Execute(context.Background(), d.Query, session); err != nil {
+		if _, err := runSQL(context.Background(), c.Engine, d.Query, session); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -88,7 +88,7 @@ func clusterAround(t *testing.T, ocsCluster *ocsserver.Cluster, dialAddr string,
 	c.Engine.DefaultCatalog = CatalogOCS
 	c.OCSConn = ocsconn.New(CatalogOCS, c.Meta, c.OCSCli)
 	c.Engine.AddConnector(c.OCSConn)
-	c.Engine.AddEventListener(c.OCSConn.Monitor())
+	c.Engine.AddEventListener(c.OCSConn.Policy())
 	t.Cleanup(c.Close)
 	return c
 }
@@ -186,15 +186,6 @@ func TestPushdownFallsBackWhenComputeUnitDown(t *testing.T) {
 		t.Errorf("FallbackSplits = %d, want %d (all splits degraded)",
 			scan.FallbackSplits, cell.Stats.Splits)
 	}
-	// The monitor's history records the degradation.
-	window := c.OCSConn.Monitor().Window()
-	last := window[len(window)-1]
-	if last.Fallbacks != scan.FallbackSplits {
-		t.Errorf("monitor Fallbacks = %d, want %d", last.Fallbacks, scan.FallbackSplits)
-	}
-	if !last.Succeeded {
-		t.Error("monitor recorded the degraded query as failed")
-	}
 	// Recovery: clearing the fault restores pushdown with no fallbacks.
 	for _, node := range c.OCS.Nodes {
 		node.SetExecuteFault(nil)
@@ -252,12 +243,6 @@ func TestSplitPruningSurvivesKilledConnectionFallback(t *testing.T) {
 	scan := cell.Stats.Scan.Snapshot()
 	if scan.SplitsPruned != 2 {
 		t.Errorf("SplitsPruned with fault = %d, want 2", scan.SplitsPruned)
-	}
-	// The monitor's history keeps the pruning count for the degraded run.
-	window := c.OCSConn.Monitor().Window()
-	last := window[len(window)-1]
-	if last.SplitsPruned != scan.SplitsPruned {
-		t.Errorf("monitor SplitsPruned = %d, want %d", last.SplitsPruned, scan.SplitsPruned)
 	}
 }
 

@@ -57,7 +57,7 @@ type Cluster struct {
 type Config struct {
 	// Telemetry threads one shared metrics registry and per-component
 	// tracers through the engine, the OCS cluster, the client transport
-	// and the pushdown monitor, so a query produces a single connected
+	// and the pushdown policy, so a query produces a single connected
 	// trace and every layer counts into the same /metrics series.
 	Telemetry bool
 	// Admission installs engine admission budgets (zero value keeps the
@@ -127,7 +127,7 @@ func StartClusterWith(storageNodes int, cfg Config) (*Cluster, error) {
 	c.Engine.AddConnector(c.OCSConn)
 	hiveConn := hive.New(CatalogHive, c.Meta, c.ObjCli)
 	c.Engine.AddConnector(hiveConn)
-	c.Engine.AddEventListener(c.OCSConn.Monitor())
+	c.Engine.AddEventListener(c.OCSConn.Policy())
 	if cfg.Telemetry {
 		c.Engine.Metrics = c.Metrics
 		c.Engine.Tracer = telemetry.NewTracer(0)
@@ -232,7 +232,7 @@ func (c *Cluster) Run(label, query string, session *engine.Session) (*Cell, erro
 // the paper's figures measure cold scans, and at 24 GB scale no working
 // set fits a 64 MiB page cache anyway — so measured cells must not
 // inherit footers or pages a previous cell decoded. Tests that exercise
-// warm-cache behavior call Engine.Execute directly.
+// warm-cache behavior submit to the Engine directly.
 func (c *Cluster) RunCtx(ctx context.Context, label, query string, session *engine.Session) (*Cell, error) {
 	if session == nil {
 		session = engine.NewSession()
@@ -242,7 +242,11 @@ func (c *Cluster) RunCtx(ctx context.Context, label, query string, session *engi
 	}
 	c.FlushNodeCaches()
 	start := time.Now()
-	res, err := c.Engine.Execute(ctx, query, session)
+	var res *engine.Result
+	q, err := c.Engine.Submit(ctx, query, engine.WithSession(session))
+	if err == nil {
+		res, err = q.Result()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", label, err)
 	}

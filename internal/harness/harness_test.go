@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -9,6 +10,15 @@ import (
 	"prestocs/internal/engine"
 	"prestocs/internal/workload"
 )
+
+// runSQL submits sql under session s and blocks for its result.
+func runSQL(ctx context.Context, e *engine.Engine, sql string, s *engine.Session) (*engine.Result, error) {
+	q, err := e.Submit(ctx, sql, engine.WithSession(s))
+	if err != nil {
+		return nil, err
+	}
+	return q.Result()
+}
 
 func testCluster(t *testing.T) *Cluster {
 	t.Helper()

@@ -191,7 +191,7 @@ func TestIngestQ3EndToEndWithConcurrentCompaction(t *testing.T) {
 
 	runQ3 := func(label string) {
 		t.Helper()
-		res, err := c.Engine.Execute(context.Background(), workload.TPCHQ3Query, engine.NewSession())
+		res, err := runSQL(context.Background(), c.Engine, workload.TPCHQ3Query, engine.NewSession())
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -449,7 +449,7 @@ func TestIngestKilledConnectionFault(t *testing.T) {
 	if tbl.RowCount != 96 || len(tbl.Objects) != 2 {
 		t.Errorf("after recovery: %d rows in %d objects", tbl.RowCount, len(tbl.Objects))
 	}
-	res, err := c.Engine.Execute(ctx, "SELECT COUNT(*) AS n FROM orders", engine.NewSession())
+	res, err := runSQL(ctx, c.Engine, "SELECT COUNT(*) AS n FROM orders", engine.NewSession())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestCompactionKilledConnectionMidRun(t *testing.T) {
 	}
 	countRows := func(label string) int64 {
 		t.Helper()
-		res, err := c.Engine.Execute(ctx, "SELECT COUNT(*) AS n FROM orders", engine.NewSession())
+		res, err := runSQL(ctx, c.Engine, "SELECT COUNT(*) AS n FROM orders", engine.NewSession())
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

@@ -144,7 +144,7 @@ func TestJoinQ3DifferentialAcrossModes(t *testing.T) {
 	run := func(label string, session *engine.Session) *engine.Result {
 		t.Helper()
 		c.FlushNodeCaches()
-		res, err := c.Engine.Execute(context.Background(), workload.TPCHQ3Query, session)
+		res, err := runSQL(context.Background(), c.Engine, workload.TPCHQ3Query, session)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -215,7 +215,7 @@ func TestJoinBloomRejectedFallbackEngineSide(t *testing.T) {
 		}
 	}
 
-	res, err := c.Engine.Execute(context.Background(), workload.TPCHQ3Query, engine.NewSession())
+	res, err := runSQL(context.Background(), c.Engine, workload.TPCHQ3Query, engine.NewSession())
 	if err != nil {
 		t.Fatal(err)
 	}

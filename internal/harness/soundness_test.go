@@ -130,13 +130,13 @@ func TestQuickPushdownSoundness(t *testing.T) {
 	const trials = 25
 	for trial := 0; trial < trials; trial++ {
 		query := randomQuery(rnd)
-		baseline, err := c.Engine.Execute(context.Background(), query, engine.NewSession().Set(ocsconn.SessionPushdown, "none"))
+		baseline, err := runSQL(context.Background(), c.Engine, query, engine.NewSession().Set(ocsconn.SessionPushdown, "none"))
 		if err != nil {
 			t.Fatalf("trial %d baseline %q: %v", trial, query, err)
 		}
 		want := rowMultisetPage(baseline.Page)
 		for _, mode := range modes {
-			res, err := c.Engine.Execute(context.Background(), query, engine.NewSession().Set(ocsconn.SessionPushdown, mode))
+			res, err := runSQL(context.Background(), c.Engine, query, engine.NewSession().Set(ocsconn.SessionPushdown, mode))
 			if err != nil {
 				t.Fatalf("trial %d mode %s %q: %v", trial, mode, query, err)
 			}
@@ -167,11 +167,11 @@ func TestSoundnessAcrossCodecs(t *testing.T) {
 		if err := c.Load(d); err != nil {
 			t.Fatal(err)
 		}
-		baseline, err := c.Engine.Execute(context.Background(), d.Query, engine.NewSession().Set(ocsconn.SessionPushdown, "none"))
+		baseline, err := runSQL(context.Background(), c.Engine, d.Query, engine.NewSession().Set(ocsconn.SessionPushdown, "none"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := c.Engine.Execute(context.Background(), d.Query, engine.NewSession().Set(ocsconn.SessionPushdown, "all"))
+		full, err := runSQL(context.Background(), c.Engine, d.Query, engine.NewSession().Set(ocsconn.SessionPushdown, "all"))
 		if err != nil {
 			t.Fatal(err)
 		}

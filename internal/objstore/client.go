@@ -51,46 +51,6 @@ func (c *Client) Get(ctx context.Context, bucket, key string) ([]byte, WorkStats
 	return decodeDataStats(resp)
 }
 
-// Delete removes an object.
-func (c *Client) Delete(ctx context.Context, bucket, key string) error {
-	e := protowire.NewEncoder()
-	e.String(1, bucket)
-	e.String(2, key)
-	_, err := c.rpc.Call(ctx, MethodDelete, e.Encoded())
-	return err
-}
-
-// List returns sorted keys with the prefix.
-func (c *Client) List(ctx context.Context, bucket, prefix string) ([]string, error) {
-	e := protowire.NewEncoder()
-	e.String(1, bucket)
-	e.String(2, prefix)
-	resp, err := c.rpc.Call(ctx, MethodList, e.Encoded())
-	if err != nil {
-		return nil, err
-	}
-	d := protowire.NewDecoder(resp)
-	var keys []string
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		if f == 1 {
-			k, err := d.String()
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, k)
-			continue
-		}
-		if err := d.Skip(ty); err != nil {
-			return nil, err
-		}
-	}
-	return keys, nil
-}
-
 // Select runs the S3 Select-like path: project columns (by name; empty =
 // all) and filter by pred (ordinals over the object's full schema; nil =
 // no filter). It returns the raw CSV payload plus storage work stats.

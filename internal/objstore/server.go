@@ -21,8 +21,6 @@ import (
 const (
 	MethodGet    = "obj.Get"
 	MethodPut    = "obj.Put"
-	MethodList   = "obj.List"
-	MethodDelete = "obj.Delete"
 	MethodSelect = "obj.Select"
 )
 
@@ -42,8 +40,6 @@ func NewServer(store *Store) *Server {
 	s := &Server{store: store, rpc: rpc.NewServer()}
 	s.rpc.Register(MethodGet, s.handleGet)
 	s.rpc.Register(MethodPut, s.handlePut)
-	s.rpc.Register(MethodList, s.handleList)
-	s.rpc.Register(MethodDelete, s.handleDelete)
 	s.rpc.Register(MethodSelect, s.handleSelect)
 	return s
 }
@@ -138,31 +134,6 @@ func (s *Server) handlePut(_ context.Context, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("objstore: put requires bucket and key")
 	}
 	s.store.Put(bucket, key, data)
-	return nil, nil
-}
-
-func (s *Server) handleList(_ context.Context, payload []byte) ([]byte, error) {
-	bucket, prefix, err := decodeBucketKey(payload)
-	if err != nil {
-		return nil, err
-	}
-	keys, err := s.store.List(bucket, prefix)
-	if err != nil {
-		return nil, err
-	}
-	e := protowire.NewEncoder()
-	for _, k := range keys {
-		e.String(1, k)
-	}
-	return e.Encoded(), nil
-}
-
-func (s *Server) handleDelete(_ context.Context, payload []byte) ([]byte, error) {
-	bucket, key, err := decodeBucketKey(payload)
-	if err != nil {
-		return nil, err
-	}
-	s.store.Delete(bucket, key)
 	return nil, nil
 }
 

@@ -73,7 +73,7 @@ func BenchmarkPruneSweep(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					read := &substrait.ReadRel{Bucket: "b", Object: "sweep", BaseSchema: sweepSchema()}
 					plan := substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond})
-					pages, _, err := executeLocalPool(store, plan, 1, mode.noPrune, nil)
+					pages, _, err := runLocal(store, plan, &execEnv{scanPool: 1, noPrune: mode.noPrune})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -130,7 +130,7 @@ func BenchmarkHotCache(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		var decoded int64
 		for i := 0; i < b.N; i++ {
-			pages, stats, err := ExecuteLocalPool(store, newPlan(), 1)
+			pages, stats, err := runLocal(store, newPlan(), &execEnv{scanPool: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -146,13 +146,13 @@ func BenchmarkHotCache(b *testing.B) {
 		caches := cache.NewStorage(cache.DefaultFooterCacheBytes, cache.DefaultPageCacheBytes)
 		// Warm outside the timed region: one cold pass populates footer
 		// and page entries for every row group.
-		if _, _, err := ExecuteLocalCached(store, newPlan(), 1, caches); err != nil {
+		if _, _, err := runLocal(store, newPlan(), &execEnv{scanPool: 1, caches: caches}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		var decoded int64
 		for i := 0; i < b.N; i++ {
-			pages, stats, err := ExecuteLocalCached(store, newPlan(), 1, caches)
+			pages, stats, err := runLocal(store, newPlan(), &execEnv{scanPool: 1, caches: caches})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -51,9 +51,9 @@ func TestCacheDifferentialExecution(t *testing.T) {
 		if trial%5 == 0 {
 			pool = 4
 		}
-		uncached, _, errU := ExecuteLocalPool(store, plan, pool)
-		cold, _, errC := ExecuteLocalCached(store, plan, pool, caches)
-		warm, _, errW := ExecuteLocalCached(store, plan, pool, caches)
+		uncached, _, errU := runLocal(store, plan, &execEnv{scanPool: pool})
+		cold, _, errC := runLocal(store, plan, &execEnv{scanPool: pool, caches: caches})
+		warm, _, errW := runLocal(store, plan, &execEnv{scanPool: pool, caches: caches})
 		if (errU == nil) != (errC == nil) || (errU == nil) != (errW == nil) {
 			t.Fatalf("trial %d (%s): uncached err=%v cold err=%v warm err=%v",
 				trial, pred.String(), errU, errC, errW)
@@ -96,7 +96,7 @@ func TestCacheInvalidationOnRePut(t *testing.T) {
 
 	run := func(label string) string {
 		t.Helper()
-		pages, _, err := ExecuteLocalCached(store, plan, 1, caches)
+		pages, _, err := runLocal(store, plan, &execEnv{scanPool: 1, caches: caches})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -110,7 +110,7 @@ func TestCacheInvalidationOnRePut(t *testing.T) {
 	// Overwrite with all-2s. The generation key changes, so the warm
 	// cache must not serve any v1 footer or page.
 	store.Put("b", "o", constObject(t, 2, 64))
-	uncached, _, err := ExecuteLocalPool(store, plan, 1)
+	uncached, _, err := runLocal(store, plan, &execEnv{scanPool: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

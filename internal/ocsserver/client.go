@@ -128,16 +128,6 @@ func decodeExecuteRequest(payload []byte) (planBytes []byte, chunkRows int) {
 	return plan, int(rows)
 }
 
-// Result is a decoded in-storage execution result.
-type Result struct {
-	Schema *types.Schema
-	Pages  []*column.Page
-	// Stats is the storage-side work the query performed.
-	Stats objstore.WorkStats
-	// ArrowBytes is the size of the serialized Arrow stream received.
-	ArrowBytes int64
-}
-
 // ResultStream is an incremental in-storage execution result: the schema
 // is available as soon as the first chunk lands, pages arrive one Next
 // call at a time while the storage node is still scanning, and the work
@@ -306,29 +296,6 @@ func (rs *ResultStream) Close() error {
 	return rs.cs.Close()
 }
 
-// Execute runs a plan and buffers the whole result, draining the stream.
-// Kept for callers that want the materialized form; the connector's page
-// source consumes ExecuteStream directly.
-func (c *Client) Execute(ctx context.Context, plan *substrait.Plan) (*Result, error) {
-	rs, err := c.ExecuteStream(ctx, plan)
-	if err != nil {
-		return nil, err
-	}
-	defer rs.Close()
-	var pages []*column.Page
-	for {
-		page, err := rs.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		pages = append(pages, page)
-	}
-	return &Result{Schema: rs.Schema(), Pages: pages, Stats: rs.Stats(), ArrowBytes: rs.ArrowBytes()}, nil
-}
-
 // Put uploads an object through the frontend, retrying transient
 // transport failures.
 func (c *Client) Put(ctx context.Context, bucket, key string, data []byte) error {
@@ -377,45 +344,6 @@ func (c *Client) Get(ctx context.Context, bucket, key string) ([]byte, objstore.
 		return nil, stats, err
 	}
 	return data, stats, nil
-}
-
-// List returns all keys with the prefix across storage nodes.
-func (c *Client) List(ctx context.Context, bucket, prefix string) ([]string, error) {
-	e := protowire.NewEncoder()
-	e.String(1, bucket)
-	e.String(2, prefix)
-	payload := e.Encoded()
-	var keys []string
-	err := c.retry.Do(ctx, func() error {
-		resp, err := c.rpc.Call(ctx, MethodList, payload)
-		if err != nil {
-			return err
-		}
-		keys = keys[:0]
-		d := protowire.NewDecoder(resp)
-		for !d.Done() {
-			f, ty, err := d.Next()
-			if err != nil {
-				return err
-			}
-			if f != 1 {
-				if err := d.Skip(ty); err != nil {
-					return err
-				}
-				continue
-			}
-			k, err := d.String()
-			if err != nil {
-				return err
-			}
-			keys = append(keys, k)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return keys, nil
 }
 
 // Cluster bundles an in-process OCS deployment: storage nodes plus a

@@ -41,9 +41,9 @@ type execEnv struct {
 
 	// sched is the fair-share scan scheduler this execution submits its
 	// row-group tasks to: the node's shared scheduler for RPC queries, or
-	// an ephemeral one owned by runEnv for in-process entry points.
+	// an ephemeral one newLocalStream creates for in-process callers.
 	sched *scanScheduler
-	// ownSched marks an ephemeral scheduler that runEnv must close.
+	// ownSched marks an ephemeral scheduler the LocalStream must close.
 	ownSched bool
 
 	// noPrune disables statistics-driven row-group pruning; the
@@ -51,13 +51,13 @@ type execEnv struct {
 	noPrune bool
 
 	// caches holds the node's footer and hot-page caches; nil runs fully
-	// uncached (in-process ExecuteLocal callers and the connector's
-	// fallback replay, which must not touch node caches it cannot see).
+	// uncached (the connector's fallback replay, which must not touch
+	// node caches it cannot see).
 	caches *cache.Storage
 
 	// ctx carries the ambient tracer, span and metrics registry of the
 	// request this execution serves; nil means no telemetry (in-process
-	// ExecuteLocal callers).
+	// callers).
 	ctx context.Context
 }
 
@@ -357,42 +357,12 @@ func recordPrune(env *execEnv, object string, pruned []int, bytesSkipped int64) 
 	sp.End()
 }
 
-// ExecuteLocal runs a plan against a local store and returns the result
-// pages plus storage-side work stats. This is the storage node's embedded
-// SQL engine entry point; it is exported for direct (in-process) use by
-// tests and the quickstart example. The row-group scan pool defaults to
-// the cost-model storage-node core count.
-func ExecuteLocal(store *objstore.Store, plan *substrait.Plan) ([]*column.Page, *objstore.WorkStats, error) {
-	return ExecuteLocalPool(store, plan, 0)
-}
-
-// ExecuteLocalPool is ExecuteLocal with an explicit row-group scan pool
-// size; pool <= 0 selects the cost-model default, pool == 1 forces the
-// sequential scanner. It runs fully uncached — the connector's fallback
-// replay depends on this to bypass (never corrupt) node caches it has no
-// view of.
-func ExecuteLocalPool(store *objstore.Store, plan *substrait.Plan, pool int) ([]*column.Page, *objstore.WorkStats, error) {
-	return executeLocalPool(store, plan, pool, false, nil)
-}
-
-// ExecuteLocalCached is ExecuteLocalPool with an explicit cache bundle,
-// the entry point for cache-aware in-process callers (tests and
-// BenchmarkHotCache); a nil bundle is the uncached path.
-func ExecuteLocalCached(store *objstore.Store, plan *substrait.Plan, pool int, caches *cache.Storage) ([]*column.Page, *objstore.WorkStats, error) {
-	if _, err := plan.Validate(); err != nil {
-		return nil, nil, err
-	}
-	env := newExecEnv(pool)
-	env.caches = caches
-	return runEnv(store, plan, env)
-}
-
-// LocalStream is a lazily-drained ExecuteLocal: the compiled pipeline is
-// pulled page by page instead of materialized up front, so a consumer —
-// the connector's local replay path — overlaps residual execution with
-// the scan exactly like the raw no-pushdown path does. The final nil
-// page (or Close, when the consumer abandons the stream) tears down the
-// scan workers and the ephemeral scheduler; Work is valid after either.
+// LocalStream is one compiled plan, drained lazily page by page: the
+// storage node's Execute handler streams it to the wire, and the
+// connector's local replay path overlaps residual execution with the
+// scan exactly like the raw no-pushdown path does. The final nil page (or
+// Close, when the consumer abandons the stream) tears down the scan
+// workers and any ephemeral scheduler; Work is valid after either.
 type LocalStream struct {
 	op   exec.Operator
 	env  *execEnv
@@ -401,16 +371,25 @@ type LocalStream struct {
 }
 
 // ExecuteLocalStream compiles a plan against a local store and returns
-// the result stream. Like ExecuteLocalPool it runs fully uncached — the
-// connector's replay paths depend on this to bypass (never corrupt) node
-// caches they have no view of. pool <= 0 selects the cost-model default.
+// the result stream. It runs fully uncached — the connector's replay
+// paths depend on this to bypass (never corrupt) node caches they have no
+// view of. pool <= 0 selects the cost-model default.
 func ExecuteLocalStream(store *objstore.Store, plan *substrait.Plan, pool int) (*LocalStream, error) {
+	return newLocalStream(store, plan, newExecEnv(pool))
+}
+
+// newLocalStream validates plan and compiles it against store under env.
+// An env without a scheduler (in-process callers, which have no node to
+// share one with) gets an ephemeral one that the stream closes at
+// teardown.
+func newLocalStream(store *objstore.Store, plan *substrait.Plan, env *execEnv) (*LocalStream, error) {
 	if _, err := plan.Validate(); err != nil {
-		return nil, err
+		return nil, rpc.WithCode(err, rpc.CodeInvalid)
 	}
-	env := newExecEnv(pool)
-	env.sched = newScanScheduler() // vet-concurrency:allow in-process entry point; no node-wide scheduler exists to share
-	env.ownSched = true
+	if env.sched == nil {
+		env.sched = newScanScheduler() // vet-concurrency:allow in-process entry point; no node-wide scheduler exists to share
+		env.ownSched = true
+	}
 	s := &LocalStream{env: env}
 	op, err := compilePlan(store, plan, env)
 	if err != nil {
@@ -455,43 +434,8 @@ func (s *LocalStream) teardown() {
 	}
 	s.done = true
 	s.env.close()
-	s.env.sched.close()
+	if s.env.ownSched {
+		s.env.sched.close()
+	}
 	s.work = s.env.finish()
-}
-
-// executeLocalPool is the shared implementation; noPrune disables
-// statistics-driven row-group pruning so differential tests (and the
-// selectivity-sweep benchmark) can compare against the full scan.
-func executeLocalPool(store *objstore.Store, plan *substrait.Plan, pool int, noPrune bool, caches *cache.Storage) ([]*column.Page, *objstore.WorkStats, error) {
-	if _, err := plan.Validate(); err != nil {
-		return nil, nil, err
-	}
-	env := newExecEnv(pool)
-	env.noPrune = noPrune
-	env.caches = caches
-	return runEnv(store, plan, env)
-}
-
-// runEnv compiles and drains a validated plan under a prepared env. An
-// env with no scheduler (in-process entry points, which have no node to
-// share one with) gets an ephemeral one for the duration of the run.
-func runEnv(store *objstore.Store, plan *substrait.Plan, env *execEnv) ([]*column.Page, *objstore.WorkStats, error) {
-	if env.sched == nil {
-		env.sched = newScanScheduler() // vet-concurrency:allow in-process entry point; no node-wide scheduler exists to share
-		env.ownSched = true
-	}
-	if env.ownSched {
-		defer env.sched.close()
-	}
-	op, err := compilePlan(store, plan, env)
-	if err != nil {
-		env.close()
-		return nil, nil, err
-	}
-	pages, err := exec.Drain(op)
-	env.close()
-	if err != nil {
-		return nil, nil, err
-	}
-	return pages, env.finish(), nil
 }

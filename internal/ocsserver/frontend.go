@@ -19,14 +19,13 @@ const (
 	MethodExecute = "ocs.Execute"
 	MethodPut     = "ocs.Put"
 	MethodGet     = "ocs.Get"
-	MethodList    = "ocs.List"
 	MethodDelete  = "ocs.Delete"
 )
 
 // Frontend is the OCS entry point: it accepts Substrait plans, resolves
 // which storage node holds the target object and forwards the plan for
 // in-storage execution; results stream back in Arrow format. It also
-// routes object management (PUT/GET/LIST) so applications see one
+// routes object management (PUT/GET/DELETE) so applications see one
 // endpoint, as in the paper's hierarchical design. Node calls inherit
 // the caller's context deadline and are retried on transient failure —
 // for Execute only until the first chunk has been forwarded, since the
@@ -69,7 +68,6 @@ func NewFrontend(nodeAddrs []string) (*Frontend, error) {
 	f.rpc.RegisterStream(MethodExecute, f.handleExecute)
 	f.rpc.Register(MethodPut, f.handlePut)
 	f.rpc.Register(MethodGet, f.handleGet)
-	f.rpc.Register(MethodList, f.handleList)
 	f.rpc.Register(MethodDelete, f.handleDelete)
 	return f, nil
 }
@@ -237,55 +235,6 @@ func (f *Frontend) handleDelete(ctx context.Context, payload []byte) ([]byte, er
 	delete(f.placement, bucket+"/"+key)
 	f.mu.Unlock()
 	return nil, nil
-}
-
-// handleList merges listings from every node.
-func (f *Frontend) handleList(ctx context.Context, payload []byte) ([]byte, error) {
-	merged := map[string]bool{}
-	for _, n := range f.nodes {
-		var resp []byte
-		err := f.Retry.Do(ctx, func() error {
-			var err error
-			resp, err = n.Call(ctx, NodeMethodList, payload)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		d := protowire.NewDecoder(resp)
-		for !d.Done() {
-			field, ty, err := d.Next()
-			if err != nil {
-				return nil, err
-			}
-			if field != 1 {
-				if err := d.Skip(ty); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			k, err := d.String()
-			if err != nil {
-				return nil, err
-			}
-			merged[k] = true
-		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	// Sorted for determinism.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	e := protowire.NewEncoder()
-	for _, k := range keys {
-		e.String(1, k)
-	}
-	return e.Encoded(), nil
 }
 
 func peekBucketKey(payload []byte) (string, string, error) {

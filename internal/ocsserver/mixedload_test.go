@@ -124,12 +124,12 @@ func TestKilledClientMidStreamReleasesScanSlots(t *testing.T) {
 
 	// The node must serve the next query from its (still shared)
 	// scheduler without leftover tasks in the way.
-	res, err := cli.Execute(context.Background(), filterPlan(t, "b", "o"))
+	pages, _, err := executeAll(context.Background(), cli, filterPlan(t, "b", "o"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, p := range res.Pages {
+	for _, p := range pages {
 		total += p.NumRows()
 	}
 	if total == 0 {

@@ -21,7 +21,6 @@ const (
 	NodeMethodExecute = "ocsnode.Execute"
 	NodeMethodPut     = "ocsnode.Put"
 	NodeMethodGet     = "ocsnode.Get"
-	NodeMethodList    = "ocsnode.List"
 	NodeMethodDelete  = "ocsnode.Delete"
 )
 
@@ -82,7 +81,7 @@ type StorageNode struct {
 
 // SetExecuteFault injects err as the outcome of every subsequent Execute
 // call until cleared with nil. It simulates the computational unit of an
-// OCS node being down while the object path (Put/Get/List) stays healthy
+// OCS node being down while the object path (Put/Get/Delete) stays healthy
 // — the degradation scenario where the engine must fall back to the
 // paper's no-pushdown configuration.
 func (n *StorageNode) SetExecuteFault(err error) {
@@ -110,7 +109,6 @@ func NewStorageNode(id int) *StorageNode {
 	n.rpc.RegisterStream(NodeMethodExecute, n.handleExecute)
 	n.rpc.Register(NodeMethodPut, n.handlePut)
 	n.rpc.Register(NodeMethodGet, n.handleGet)
-	n.rpc.Register(NodeMethodList, n.handleList)
 	n.rpc.Register(NodeMethodDelete, n.handleDelete)
 	return n
 }
@@ -157,7 +155,7 @@ const DefaultMaxBloomBytes = 256 << 10
 // plan. The error is CodeInvalid — not transient — so the connector
 // retries without the filter instead of falling back off pushdown
 // entirely. Only the RPC path enforces the cap: local replay
-// (ExecuteLocal*) runs whatever the engine already committed to.
+// (ExecuteLocalStream) runs whatever the engine already committed to.
 func (n *StorageNode) checkBloomSize(plan *substrait.Plan) error {
 	limit := n.MaxBloomBytes
 	if limit == 0 {
@@ -200,14 +198,6 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 	if err != nil {
 		return nil, rpc.WithCode(fmt.Errorf("node %d: invalid plan: %w", n.ID, err), rpc.CodeInvalid)
 	}
-	// Partial aggregation changes the output schema (it is still keys +
-	// one column per measure, same names/kinds for our function set), so
-	// the first page's schema is authoritative once a page exists; the
-	// validated plan schema covers the zero-page case.
-	planSchema, err := plan.Validate()
-	if err != nil {
-		return nil, rpc.WithCode(fmt.Errorf("node %d: %w", n.ID, err), rpc.CodeInvalid)
-	}
 	if err := n.checkBloomSize(plan); err != nil {
 		return nil, err
 	}
@@ -215,11 +205,11 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 	env.ctx = ctx
 	env.caches = n.Caches
 	env.sched = n.sched
-	defer env.close()
-	op, err := compilePlan(n.store, plan, env)
+	ls, err := newLocalStream(n.store, plan, env)
 	if err != nil {
 		return nil, fmt.Errorf("node %d: %w", n.ID, err)
 	}
+	defer ls.Close()
 
 	buf := arrowlite.GetBuf()
 	defer arrowlite.PutBuf(buf)
@@ -255,7 +245,7 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("node %d: %w", n.ID, err)
 		}
-		page, err := op.Next()
+		page, err := ls.Next()
 		if err != nil {
 			return nil, fmt.Errorf("node %d: %w", n.ID, err)
 		}
@@ -290,15 +280,16 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 		}
 	}
 	if !sentSchema {
-		if err := sendSchema(planSchema); err != nil {
+		// The compiled schema is the validated plan schema; without a
+		// page it is the only schema the client gets.
+		if err := sendSchema(ls.Schema()); err != nil {
 			return nil, err
 		}
 	}
-	env.close()
 	// Refresh the load word once more so the end frame carries the
-	// post-scan backlog (this query's queue is gone by now).
+	// post-scan backlog (the drained stream has released its queue).
 	rpc.SetStreamLoad(ctx, n.loadSignal(backlog))
-	st := env.finish()
+	st := ls.Work()
 	span.SetAttr("bytes_read", fmt.Sprint(st.BytesRead))
 	span.SetAttr("rows_processed", fmt.Sprint(st.RowsProcessed))
 	e := protowire.NewEncoder()
@@ -433,36 +424,5 @@ func (n *StorageNode) handleGet(_ context.Context, payload []byte) ([]byte, erro
 	e := protowire.NewEncoder()
 	e.Bytes(1, data)
 	encodeWorkStats(e, 2, objstore.WorkStats{BytesRead: int64(len(data))})
-	return e.Encoded(), nil
-}
-
-func (n *StorageNode) handleList(_ context.Context, payload []byte) ([]byte, error) {
-	d := protowire.NewDecoder(payload)
-	var bucket, prefix string
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		switch f {
-		case 1:
-			bucket, err = d.String()
-		case 2:
-			prefix, err = d.String()
-		default:
-			err = d.Skip(ty)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	keys, err := n.store.List(bucket, prefix)
-	if err != nil {
-		return nil, err
-	}
-	e := protowire.NewEncoder()
-	for _, k := range keys {
-		e.String(1, k)
-	}
 	return e.Encoded(), nil
 }

@@ -3,6 +3,7 @@ package ocsserver
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -57,7 +58,7 @@ func filterPlan(t *testing.T, bucket, object string) *substrait.Plan {
 func TestExecuteLocalFilter(t *testing.T) {
 	store := objstore.NewStore()
 	store.Put("b", "o", meshObject(t, compress.None))
-	pages, stats, err := ExecuteLocal(store, filterPlan(t, "b", "o"))
+	pages, stats, err := runLocal(store, filterPlan(t, "b", "o"), newExecEnv(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +80,14 @@ func TestExecuteLocalRowGroupPruning(t *testing.T) {
 	store.Put("b", "o", meshObject(t, compress.None))
 	// x BETWEEN 0.5 AND 1.0 hits row groups 0 (rows 0-63) and 1 (64-127)
 	// only; groups 2,3 must be pruned, reducing BytesRead.
-	_, statsPruned, err := ExecuteLocal(store, filterPlan(t, "b", "o"))
+	_, statsPruned, err := runLocal(store, filterPlan(t, "b", "o"), newExecEnv(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// An always-true filter reads everything.
 	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
 	cond, _ := expr.NewCompare(expr.Ge, expr.Col(1, "x", types.Float64), expr.Lit(types.FloatValue(-1)))
-	_, statsFull, err := ExecuteLocal(store, substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond}))
+	_, statsFull, err := runLocal(store, substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond}), newExecEnv(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestExecuteLocalAggregatePartial(t *testing.T) {
 			{Func: substrait.AggCountStar, Arg: -1, Name: "cnt"},
 		},
 	}
-	pages, stats, err := ExecuteLocal(store, substrait.NewPlan(agg))
+	pages, stats, err := runLocal(store, substrait.NewPlan(agg), newExecEnv(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestExecuteLocalTopNAndProject(t *testing.T) {
 		Input: &substrait.SortRel{Input: proj, Keys: []substrait.SortKey{{Column: 1, Descending: true}}},
 		Count: 5,
 	}
-	pages, _, err := ExecuteLocal(store, substrait.NewPlan(topn))
+	pages, _, err := runLocal(store, substrait.NewPlan(topn), newExecEnv(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestExecuteLocalBareFetch(t *testing.T) {
 	store := objstore.NewStore()
 	store.Put("b", "o", meshObject(t, compress.None))
 	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
-	pages, _, err := ExecuteLocal(store, substrait.NewPlan(&substrait.FetchRel{Input: read, Count: 7}))
+	pages, _, err := runLocal(store, substrait.NewPlan(&substrait.FetchRel{Input: read, Count: 7}), newExecEnv(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +179,10 @@ func TestExecuteLocalBareFetch(t *testing.T) {
 func TestExecuteLocalErrors(t *testing.T) {
 	store := objstore.NewStore()
 	store.Put("b", "corrupt", []byte("nope"))
-	if _, _, err := ExecuteLocal(store, filterPlan(t, "b", "missing")); err == nil {
+	if _, _, err := runLocal(store, filterPlan(t, "b", "missing"), newExecEnv(0)); err == nil {
 		t.Error("missing object accepted")
 	}
-	if _, _, err := ExecuteLocal(store, filterPlan(t, "b", "corrupt")); err == nil {
+	if _, _, err := runLocal(store, filterPlan(t, "b", "corrupt"), newExecEnv(0)); err == nil {
 		t.Error("corrupt object accepted")
 	}
 	// Schema mismatch between plan and object.
@@ -189,8 +190,42 @@ func TestExecuteLocalErrors(t *testing.T) {
 	wrongSchema := types.NewSchema(types.Column{Name: "other", Type: types.Int64})
 	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: wrongSchema}
 	cond, _ := expr.NewCompare(expr.Gt, expr.Col(0, "other", types.Int64), expr.Lit(types.IntValue(0)))
-	if _, _, err := ExecuteLocal(store, substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond})); err == nil {
+	if _, _, err := runLocal(store, substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond}), newExecEnv(0)); err == nil {
 		t.Error("schema mismatch accepted")
+	}
+}
+
+// runLocal drains plan's local execution under env.
+func runLocal(store *objstore.Store, plan *substrait.Plan, env *execEnv) ([]*column.Page, *objstore.WorkStats, error) {
+	ls, err := newLocalStream(store, plan, env)
+	if err != nil {
+		return nil, nil, err
+	}
+	pages, err := exec.Drain(ls)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pages, ls.Work(), nil
+}
+
+// executeAll drains plan's result stream from cli; the returned stream
+// still answers Schema, Stats and ArrowBytes.
+func executeAll(ctx context.Context, cli *Client, plan *substrait.Plan) ([]*column.Page, *ResultStream, error) {
+	rs, err := cli.ExecuteStream(ctx, plan)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer rs.Close()
+	var pages []*column.Page
+	for {
+		page, err := rs.Next()
+		if err == io.EOF {
+			return pages, rs, nil
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		pages = append(pages, page)
 	}
 }
 
@@ -213,22 +248,22 @@ func TestClusterExecute(t *testing.T) {
 	if err := cli.Put(context.Background(), "b", "o", meshObject(t, compress.None)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cli.Execute(context.Background(), filterPlan(t, "b", "o"))
+	pages, rs, err := executeAll(context.Background(), cli, filterPlan(t, "b", "o"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, p := range res.Pages {
+	for _, p := range pages {
 		total += p.NumRows()
 	}
 	if total != 51 {
 		t.Errorf("cluster filter rows = %d", total)
 	}
-	if res.ArrowBytes <= 0 || res.Stats.RowsProcessed <= 0 {
-		t.Errorf("result metadata missing: %+v", res)
+	if rs.ArrowBytes() <= 0 || rs.Stats().RowsProcessed <= 0 {
+		t.Errorf("result metadata missing: %+v, %d bytes", rs.Stats(), rs.ArrowBytes())
 	}
-	if res.Schema.IndexOf("x") < 0 {
-		t.Errorf("result schema = %v", res.Schema)
+	if rs.Schema().IndexOf("x") < 0 {
+		t.Errorf("result schema = %v", rs.Schema())
 	}
 }
 
@@ -241,25 +276,25 @@ func TestClusterMultiNodePlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys, err := cli.List(context.Background(), "lanl", "part-")
-	if err != nil || len(keys) != 12 {
-		t.Fatalf("List = %d keys, %v", len(keys), err)
-	}
-	nonEmpty := 0
+	stored, nonEmpty := 0, 0
 	for _, node := range cluster.Nodes {
-		if ks, err := node.Store().List("lanl", ""); err == nil && len(ks) > 0 {
+		if ks, err := node.Store().List("lanl", "part-"); err == nil && len(ks) > 0 {
+			stored += len(ks)
 			nonEmpty++
 		}
+	}
+	if stored != 12 {
+		t.Fatalf("nodes hold %d objects, want 12", stored)
 	}
 	if nonEmpty < 2 {
 		t.Errorf("placement not spread: %d/3 nodes hold objects", nonEmpty)
 	}
 	// Execute against an object on whichever node holds it.
-	res, err := cli.Execute(context.Background(), filterPlan(t, "lanl", "part-007.pql"))
+	pages, _, err := executeAll(context.Background(), cli, filterPlan(t, "lanl", "part-007.pql"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Pages) == 0 {
+	if len(pages) == 0 {
 		t.Error("no pages returned")
 	}
 	// Get routes correctly too.
@@ -271,7 +306,7 @@ func TestClusterMultiNodePlacement(t *testing.T) {
 
 func TestClusterExecuteErrors(t *testing.T) {
 	_, cli := startCluster(t, 1)
-	if _, err := cli.Execute(context.Background(), filterPlan(t, "b", "missing")); err == nil {
+	if _, _, err := executeAll(context.Background(), cli, filterPlan(t, "b", "missing")); err == nil {
 		t.Error("execute against missing object succeeded")
 	}
 	// Plan with no read rel is rejected by the frontend... cannot build
@@ -294,12 +329,12 @@ func TestInStorageEqualsLocalExecution(t *testing.T) {
 	}
 
 	plan := filterPlan(t, "b", "o")
-	res, err := cli.Execute(context.Background(), plan)
+	pages, rs, err := executeAll(context.Background(), cli, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := column.NewPage(res.Schema)
-	for _, p := range res.Pages {
+	got := column.NewPage(rs.Schema())
+	for _, p := range pages {
 		got.AppendPage(p)
 	}
 
@@ -312,12 +347,12 @@ func TestInStorageEqualsLocalExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages, err := r.ReadAll([]int{0, 1, 2})
+	raw, err := r.ReadAll([]int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cond := plan.Root.(*substrait.FilterRel).Condition
-	f, err := exec.NewFilter(exec.NewPageSource(meshSchema(), pages), cond, nil)
+	f, err := exec.NewFilter(exec.NewPageSource(meshSchema(), raw), cond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,8 +175,8 @@ func TestPruneDifferentialProperty(t *testing.T) {
 		if trial%5 == 0 {
 			pool = 4
 		}
-		pruned, _, errP := executeLocalPool(store, plan, pool, false, nil)
-		full, _, errF := executeLocalPool(store, plan, pool, true, nil)
+		pruned, _, errP := runLocal(store, plan, &execEnv{scanPool: pool})
+		full, _, errF := runLocal(store, plan, &execEnv{scanPool: pool, noPrune: true})
 		if (errP == nil) != (errF == nil) {
 			t.Fatalf("trial %d (%s): pruned err=%v full err=%v", trial, pred.String(), errP, errF)
 		}
@@ -203,11 +203,11 @@ func TestPruneDifferentialWithProjection(t *testing.T) {
 	}
 	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: pruneSchema(), Projection: []int{1, 0}}
 	plan := substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond})
-	pruned, _, err := executeLocalPool(store, plan, 1, false, nil)
+	pruned, _, err := runLocal(store, plan, &execEnv{scanPool: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := executeLocalPool(store, plan, 1, true, nil)
+	full, _, err := runLocal(store, plan, &execEnv{scanPool: 1, noPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ type schedQueue struct {
 // newScanScheduler returns a scheduler whose workers start lazily on the
 // first register call. Per-query construction in the scan hot path is
 // banned by `make vet-concurrency`; a node owns exactly one of these, and
-// the in-process ExecuteLocal entry points own one per call (annotated).
+// an in-process LocalStream owns one per stream (annotated).
 func newScanScheduler() *scanScheduler {
 	s := &scanScheduler{}
 	s.cond = sync.NewCond(&s.mu)

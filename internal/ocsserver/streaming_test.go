@@ -101,12 +101,12 @@ func TestExecuteStreamAbandonReleasesCleanly(t *testing.T) {
 	}
 	rs.Close() // abandon after one page
 	// The client must remain usable on a fresh connection.
-	res, err := cli.Execute(context.Background(), filterPlan(t, "b", "o"))
+	pages, _, err := executeAll(context.Background(), cli, filterPlan(t, "b", "o"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, p := range res.Pages {
+	for _, p := range pages {
 		total += p.NumRows()
 	}
 	if total != 51 {
@@ -186,7 +186,7 @@ func TestStreamErrorFrameAfterBatches(t *testing.T) {
 		return nil, fmt.Errorf("disk on fire")
 	})
 	cli := frontendFor(t, addr)
-	_, err := cli.Execute(context.Background(), filterPlan(t, "b", "o"))
+	_, _, err := executeAll(context.Background(), cli, filterPlan(t, "b", "o"))
 	if err == nil || !strings.Contains(err.Error(), "disk on fire") {
 		t.Fatalf("mid-stream node failure = %v", err)
 	}
@@ -239,7 +239,7 @@ func TestStreamCorruptChunkPayload(t *testing.T) {
 		return nil, nil
 	})
 	cli := frontendFor(t, addr)
-	if _, err := cli.Execute(context.Background(), filterPlan(t, "b", "o")); err == nil {
+	if _, _, err := executeAll(context.Background(), cli, filterPlan(t, "b", "o")); err == nil {
 		t.Fatal("corrupt schema chunk accepted")
 	}
 }
@@ -251,7 +251,7 @@ func TestStreamEmptyStreamNoSchema(t *testing.T) {
 		return nil, nil
 	})
 	cli := frontendFor(t, addr)
-	if _, err := cli.Execute(context.Background(), filterPlan(t, "b", "o")); err == nil {
+	if _, _, err := executeAll(context.Background(), cli, filterPlan(t, "b", "o")); err == nil {
 		t.Fatal("schema-less stream accepted")
 	}
 }
@@ -344,11 +344,11 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 		store.Put("b", "o", meshObject(t, codec))
 		for _, cfg := range configs {
 			t.Run(fmt.Sprintf("%s/%s", codec, cfg.name), func(t *testing.T) {
-				seqPages, _, err := ExecuteLocalPool(store, cfg.plan(t), 1)
+				seqPages, _, err := runLocal(store, cfg.plan(t), &execEnv{scanPool: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
-				parPages, _, err := ExecuteLocalPool(store, cfg.plan(t), 8)
+				parPages, _, err := runLocal(store, cfg.plan(t), &execEnv{scanPool: 8})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -372,11 +372,11 @@ func TestParallelScanStatsComplete(t *testing.T) {
 	store := objstore.NewStore()
 	store.Put("b", "o", meshObject(t, compress.Snappy))
 	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
-	_, seqStats, err := ExecuteLocalPool(store, substrait.NewPlan(read), 1)
+	_, seqStats, err := runLocal(store, substrait.NewPlan(read), &execEnv{scanPool: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, parStats, err := ExecuteLocalPool(store, substrait.NewPlan(read), 4)
+	_, parStats, err := runLocal(store, substrait.NewPlan(read), &execEnv{scanPool: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
